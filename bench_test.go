@@ -13,7 +13,6 @@ import (
 	"dsmrace/internal/dsm"
 	"dsmrace/internal/memory"
 	"dsmrace/internal/rdma"
-	"dsmrace/internal/vclock"
 	"dsmrace/internal/workload"
 )
 
@@ -315,53 +314,40 @@ func BenchmarkE_T10_Ablations(b *testing.B) {
 
 // ---- micro-benchmarks of the detection hot path ----
 
-// BenchmarkCompareClocks measures Algorithm 3 across clock sizes.
-func BenchmarkCompareClocks(b *testing.B) {
+// clockBenchSizes runs body at every micro-row clock size, plus the /mixed
+// variant at the two sizes the cluster workloads run at.
+func clockBenchSizes(b *testing.B, body func(b *testing.B, n int, mixed bool)) {
 	for _, n := range []int{4, 16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			x, y := vclock.New(n), vclock.New(n)
-			x.Tick(0)
-			y.Tick(n - 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = vclock.Compare(x, y)
-			}
-		})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { body(b, n, false) })
+		if n == 16 || n == 256 {
+			b.Run(fmt.Sprintf("n=%d/mixed", n), func(b *testing.B) { body(b, n, true) })
+		}
 	}
 }
 
+// BenchmarkCompareClocks measures Algorithm 3 across clock sizes.
+func BenchmarkCompareClocks(b *testing.B) { clockBenchSizes(b, benchCompareClocks) }
+
 // BenchmarkMergeClocks measures Algorithm 4 (max_clock).
-func BenchmarkMergeClocks(b *testing.B) {
-	for _, n := range []int{4, 16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			x, y := vclock.New(n), vclock.New(n)
-			for i := 0; i < n; i++ {
-				y[i] = uint64(i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x.Merge(y)
-			}
-		})
+func BenchmarkMergeClocks(b *testing.B) { clockBenchSizes(b, benchMergeClocks) }
+
+// detectorBench runs the OnAccess micro row for every detector, fixed and
+// /mixed, at cluster size n.
+func detectorBench(b *testing.B, n int) {
+	for _, d := range benchDetectors() {
+		b.Run(d.Name(), func(b *testing.B) { benchDetectorOnAccess(b, d, n, false) })
+		b.Run(d.Name()+"/mixed", func(b *testing.B) { benchDetectorOnAccess(b, d, n, true) })
 	}
 }
 
 // BenchmarkDetectorOnAccess measures one detection step per detector. The
 // vw detectors are required to stay at or below one allocation per access
 // in steady state (see TestOnAccessAllocationBudget).
-func BenchmarkDetectorOnAccess(b *testing.B) {
-	for _, d := range benchDetectors() {
-		b.Run(d.Name(), func(b *testing.B) { benchDetectorOnAccess(b, d, 16) })
-	}
-}
+func BenchmarkDetectorOnAccess(b *testing.B) { detectorBench(b, 16) }
 
 // BenchmarkDetectorOnAccess256 is the same step at cluster size 256 — the
 // clock sizes the E_Scale family runs at.
-func BenchmarkDetectorOnAccess256(b *testing.B) {
-	for _, d := range benchDetectors() {
-		b.Run(d.Name(), func(b *testing.B) { benchDetectorOnAccess(b, d, 256) })
-	}
-}
+func BenchmarkDetectorOnAccess256(b *testing.B) { detectorBench(b, 256) }
 
 // BenchmarkMemoryPutThroughput measures raw substrate bandwidth (large
 // payload puts, detection off).

@@ -8,6 +8,7 @@ package dsmrace
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -491,19 +492,124 @@ func benchDetectors() []core.Detector {
 	}
 }
 
-// benchDetectorOnAccess measures one steady-state detection step: a
-// rotating-writer stream against a single area state, threading the absorb
-// scratch buffer exactly as the NIC hot path does.
-func benchDetectorOnAccess(b *testing.B, d core.Detector, n int) {
+// mixedPairs is how many clock pairs a /mixed micro row rotates over: enough
+// (× n components) that no branch predictor can memorise the stream. The
+// fixed-pair rows beside them replay one pair, which a predictor learns
+// within a few iterations — they price the instruction count, the /mixed
+// rows price what real traffic pays.
+const mixedPairs = 512
+
+// mixedClockChain returns mixedPairs+1 n-component clocks shaped like the
+// race-free hand-off traffic the cluster workloads produce: each clock
+// covers the one before it, and every component independently either
+// advanced or stayed equal.
+func mixedClockChain(n int) []vclock.VC {
+	r := rand.New(rand.NewSource(int64(n)))
+	chain := make([]vclock.VC, mixedPairs+1)
+	cur := vclock.New(n)
+	for k := range chain {
+		for i := range cur {
+			if r.Intn(2) == 0 {
+				cur[i] += 1 + uint64(r.Intn(3))
+			}
+		}
+		chain[k] = cur.Copy()
+	}
+	return chain
+}
+
+// benchClockPairs returns the (x, y) pairs a clock micro row walks. Fixed is
+// the single pair the rows have always used. Mixed alternates x ≤ y and
+// x ≥ y neighbours of a mixedClockChain, so across the rotation a component
+// is <, = or > unpredictably while every pair stays ordered: a concurrent
+// pair would let Compare leave at the first block and measure nothing.
+func benchClockPairs(n int, mixed bool, fixed func(x, y vclock.VC)) (xs, ys []vclock.VC) {
+	if !mixed {
+		x, y := vclock.New(n), vclock.New(n)
+		fixed(x, y)
+		return []vclock.VC{x}, []vclock.VC{y}
+	}
+	chain := mixedClockChain(n)
+	for k := 0; k < mixedPairs; k++ {
+		x, y := chain[k], chain[k+1]
+		if k%2 == 1 {
+			x, y = y, x
+		}
+		xs, ys = append(xs, x), append(ys, y)
+	}
+	return xs, ys
+}
+
+var benchOrderSink vclock.Order
+
+// benchCompareClocks measures Algorithm 3 on n-component clocks.
+func benchCompareClocks(b *testing.B, n int, mixed bool) {
+	xs, ys := benchClockPairs(n, mixed, func(x, y vclock.VC) {
+		x.Tick(0)
+		y.Tick(n - 1)
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(xs)
+		benchOrderSink = vclock.Compare(xs[k], ys[k])
+	}
+}
+
+// benchMergeClocks measures Algorithm 4 (max_clock) on n-component clocks.
+// Every iteration merges into a fresh copy of x — merging into the previous
+// iteration's result would find nothing left to store — so the row includes
+// one n-component copy.
+func benchMergeClocks(b *testing.B, n int, mixed bool) {
+	xs, ys := benchClockPairs(n, mixed, func(x, y vclock.VC) {
+		for i := range y {
+			y[i] = uint64(i)
+		}
+	})
+	dst := vclock.New(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(xs)
+		dst = xs[k].CopyInto(dst)
+		dst.Merge(ys[k])
+	}
+}
+
+// benchDetectorOnAccess measures one steady-state detection step against a
+// single area state, threading the absorb scratch buffer exactly as the NIC
+// hot path does. The fixed stream is a rotating writer ticking one component
+// per access. The mixed stream walks a mixedClockChain — writes and reads
+// alternating, each clock covering the last in an unpredictable subset of
+// components, every fourth access a stale clock the state already covers —
+// and starts a fresh area state each lap (a few buffers per mixedPairs
+// accesses, which is why the row reports a few B/op).
+func benchDetectorOnAccess(b *testing.B, d core.Detector, n int, mixed bool) {
 	b.Helper()
 	st := d.NewAreaState(n)
 	clk := vclock.NewMasked(n)
+	var chain []vclock.VC
+	if mixed {
+		chain = mixedClockChain(n)
+		clk.M.Fill(n)
+	}
 	var scratch vclock.Masked
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clk.Tick(i % n)
-		acc := core.Access{Proc: i % n, Seq: uint64(i), Kind: core.Write, Clock: clk.V, ClockNZ: clk.M}
+		acc := core.Access{Proc: i % n, Seq: uint64(i), Kind: core.Write, ClockNZ: clk.M}
+		if mixed {
+			k := i % mixedPairs
+			if k == 0 {
+				st = d.NewAreaState(n)
+			}
+			if k%4 == 3 {
+				k -= 2
+			}
+			acc.Kind = core.AccessKind(i % 2)
+			acc.Clock = chain[k]
+		} else {
+			clk.Tick(i % n)
+			acc.Clock = clk.V
+		}
 		_, absorbed := st.OnAccess(acc, 0, scratch)
 		if !absorbed.IsNil() {
 			scratch = absorbed
@@ -514,7 +620,9 @@ func benchDetectorOnAccess(b *testing.B, d core.Detector, n int) {
 // StandardBenchmarks returns the canonical benchmark set the cmd/bench
 // harness records in the perf trajectory: the raw put/get primitives, the
 // wire-protocol ablation, the E-T4 throughput grid, the per-coherence
-// workload comparison, and the per-detector OnAccess microbenchmark.
+// workload comparison, the clock compare/merge micro rows, and the
+// per-detector OnAccess microbenchmark — the last two as a fixed-pair row
+// and a /mixed row each.
 func StandardBenchmarks() []BenchSpec {
 	specs := []BenchSpec{
 		{Name: "E_F2_Put", F: func(b *testing.B) { benchOps(b, "off", "", 1, false) }},
@@ -540,17 +648,32 @@ func StandardBenchmarks() []BenchSpec {
 			})
 		}
 	}
+	for _, n := range []int{16, 256} {
+		for _, mixed := range []bool{false, true} {
+			suffix := fmt.Sprintf("/n=%d", n)
+			if mixed {
+				suffix += "/mixed"
+			}
+			specs = append(specs,
+				BenchSpec{Name: "CompareClocks" + suffix, F: func(b *testing.B) { benchCompareClocks(b, n, mixed) }},
+				BenchSpec{Name: "MergeClocks" + suffix, F: func(b *testing.B) { benchMergeClocks(b, n, mixed) }})
+		}
+	}
 	for _, d := range benchDetectors() {
 		for _, n := range []int{16, 256} {
-			d, n := d, n
-			name := "DetectorOnAccess/" + d.Name()
-			if n != 16 {
-				name = fmt.Sprintf("DetectorOnAccess%d/%s", n, d.Name())
+			for _, mixed := range []bool{false, true} {
+				name := "DetectorOnAccess/" + d.Name()
+				if n != 16 {
+					name = fmt.Sprintf("DetectorOnAccess%d/%s", n, d.Name())
+				}
+				if mixed {
+					name += "/mixed"
+				}
+				specs = append(specs, BenchSpec{
+					Name: name,
+					F:    func(b *testing.B) { benchDetectorOnAccess(b, d, n, mixed) },
+				})
 			}
-			specs = append(specs, BenchSpec{
-				Name: name,
-				F:    func(b *testing.B) { benchDetectorOnAccess(b, d, n) },
-			})
 		}
 	}
 	return specs

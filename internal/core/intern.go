@@ -1,6 +1,10 @@
 package core
 
-import "dsmrace/internal/vclock"
+import (
+	"slices"
+
+	"dsmrace/internal/vclock"
+)
 
 // clockIntern hash-conses the vector-clock snapshots stored reports carry.
 //
@@ -34,18 +38,6 @@ func hashClock(c vclock.VC) uint64 {
 	return h
 }
 
-func equalClock(a, b vclock.VC) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // get returns the canonical snapshot equal to c, copying c in on first
 // sight. nil stays nil.
 func (t *clockIntern) get(c vclock.VC) vclock.VC {
@@ -59,7 +51,7 @@ func (t *clockIntern) get(c vclock.VC) vclock.VC {
 	}
 	h := hashClock(c)
 	for _, e := range t.buckets[h] {
-		if equalClock(e, c) {
+		if slices.Equal(e, c) {
 			return e
 		}
 	}

@@ -189,7 +189,7 @@ func (s *vwAreaState) OnAccess(acc Access, home int, absorb vclock.Masked) (*Rep
 				s.repClock = s.w.V.CopyInto(s.repClock)
 				rep = s.report(acc, s.priorWrite())
 			}
-			s.v.MergeAndCompare(in)
+			s.v.Merge(in)
 			covered = ord == vclock.After || ord == vclock.Equal
 		}
 		s.setLast(&s.lastRead, &s.lrClock, &s.hasLastRead, acc)

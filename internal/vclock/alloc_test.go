@@ -24,7 +24,11 @@ func TestHotPathAllocationFree(t *testing.T) {
 	scratch := New(n)
 	buf := make([]byte, 0, a.WireSize())
 
+	assertZeroAllocs(t, "cmpBlock", func() { _, _ = cmpBlock(a, b) })
+	assertZeroAllocs(t, "maxBlock", func() { maxBlock(scratch, b) })
+	assertZeroAllocs(t, "maxCmpBlock", func() { _, _ = maxCmpBlock(scratch, a) })
 	assertZeroAllocs(t, "Compare", func() { _ = Compare(a, b) })
+	assertZeroAllocs(t, "Merge", func() { scratch.Merge(b) })
 	assertZeroAllocs(t, "MergeInto", func() { dst = MergeInto(dst, a, b) })
 	assertZeroAllocs(t, "CopyInto", func() { scratch = a.CopyInto(scratch) })
 	assertZeroAllocs(t, "MergeAndCompare", func() {

@@ -64,11 +64,7 @@ func (m *Matrix) MergeMatrix(o *Matrix) {
 	if m.n != o.n {
 		panic(fmt.Sprintf("vclock: matrix size mismatch %d != %d", m.n, o.n))
 	}
-	for i, x := range o.m {
-		if x > m.m[i] {
-			m.m[i] = x
-		}
-	}
+	maxBlock(m.m, o.m)
 }
 
 // MinKnown returns, for process component c, the minimum over all rows of

@@ -91,13 +91,11 @@ func MergeInto(dst, a, b VC) VC {
 		dst = make(VC, len(a))
 	}
 	dst = dst[:len(a)]
-	for i := range a {
-		if a[i] >= b[i] {
-			dst[i] = a[i]
-		} else {
-			dst[i] = b[i]
-		}
+	if len(dst) > 0 && &dst[0] == &b[0] {
+		a, b = b, a // dst is b: fold a into it rather than overwrite it
 	}
+	copy(dst, a)
+	maxBlock(dst, b)
 	return dst
 }
 
@@ -109,26 +107,7 @@ func (v VC) MergeAndCompare(o VC) Order {
 	if len(v) != len(o) {
 		panic(fmt.Sprintf("vclock: compare size mismatch %d != %d", len(v), len(o)))
 	}
-	less, greater := false, false
-	for i, x := range o {
-		switch {
-		case x < v[i]:
-			less = true
-		case x > v[i]:
-			greater = true
-			v[i] = x
-		}
-	}
-	switch {
-	case less && greater:
-		return Concurrent
-	case less:
-		return Before
-	case greater:
-		return After
-	default:
-		return Equal
-	}
+	return orderOf(maxCmpBlock(v, o))
 }
 
 // Tick increments component i — the paper's update_local_clock performed by
@@ -143,11 +122,7 @@ func (v VC) Merge(o VC) {
 	if len(v) != len(o) {
 		panic(fmt.Sprintf("vclock: merge size mismatch %d != %d", len(v), len(o)))
 	}
-	for i, x := range o {
-		if x > v[i] {
-			v[i] = x
-		}
-	}
+	maxBlock(v, o)
 }
 
 // Merged returns a fresh clock equal to max(v, o) without mutating either.
@@ -167,26 +142,17 @@ func Compare(v, o VC) Order {
 	if len(v) != len(o) {
 		panic(fmt.Sprintf("vclock: compare size mismatch %d != %d", len(v), len(o)))
 	}
-	less, greater := false, false
-	for i := range v {
-		switch {
-		case v[i] < o[i]:
-			less = true
-		case v[i] > o[i]:
-			greater = true
-		}
-		if less && greater {
+	var lt, gt uint64
+	for len(v) > 0 {
+		k := min(len(v), blockLen)
+		l, g := cmpBlock(v[:k], o[:k])
+		lt, gt = lt|l, gt|g
+		if lt != 0 && gt != 0 {
 			return Concurrent
 		}
+		v, o = v[k:], o[k:]
 	}
-	switch {
-	case less:
-		return Before
-	case greater:
-		return After
-	default:
-		return Equal
-	}
+	return orderOf(lt, gt)
 }
 
 // HappensBefore reports whether v happened-before o (strictly).
