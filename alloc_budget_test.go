@@ -10,9 +10,9 @@ import (
 
 // TestOnAccessAllocationBudget pins the zero-allocation contract of the
 // detection hot path: once warm, a steady-state OnAccess step performs no
-// allocation when it does not race, and at most one (the report) when it
-// does. The absorb scratch buffer is threaded back in exactly as the NIC
-// does.
+// allocation, whether it races or not: a report is built in scratch the
+// state allocated on the area's first race. The absorb scratch buffer is
+// threaded back in exactly as the NIC does.
 func TestOnAccessAllocationBudget(t *testing.T) {
 	// 16 is the historical debugging-scale size; 256 is the E_Scale regime —
 	// the zero-allocation contract must hold at every measured cluster size.
@@ -52,8 +52,8 @@ func TestOnAccessAllocationBudget(t *testing.T) {
 		})
 
 		// Racing stream: rotating writers that never gossip — every access is
-		// concurrent with the stored clock for the clock-based detectors. The
-		// only permitted allocation is the race report itself.
+		// concurrent with the stored clock for the clock-based detectors, and
+		// the report itself is reused state-owned storage.
 		t.Run(fmt.Sprintf("racing/n=%d", n), func(t *testing.T) {
 			for _, d := range benchDetectors() {
 				d := d
@@ -64,14 +64,17 @@ func TestOnAccessAllocationBudget(t *testing.T) {
 						clocks[i] = vclock.New(n)
 					}
 					var scratch vclock.Masked
-					seq, proc := uint64(0), 0
+					seq, proc, raced := uint64(0), 0, 0
 					step := func() {
 						seq++
 						proc = (proc + 1) % n
 						clocks[proc].Tick(proc)
-						_, absorbed := st.OnAccess(core.Access{
+						rep, absorbed := st.OnAccess(core.Access{
 							Proc: proc, Seq: seq, Kind: core.Write, Clock: clocks[proc],
 						}, 0, scratch)
+						if rep != nil {
+							raced++
+						}
 						if !absorbed.IsNil() {
 							scratch = absorbed
 						}
@@ -79,8 +82,15 @@ func TestOnAccessAllocationBudget(t *testing.T) {
 					for i := 0; i < 3*n; i++ {
 						step()
 					}
-					if avg := testing.AllocsPerRun(100, step); avg > 1 {
-						t.Errorf("steady-state racing OnAccess allocates %.2f/op, want <= 1 (the report)", avg)
+					warm := raced
+					if avg := testing.AllocsPerRun(100, step); avg > 0 {
+						t.Errorf("steady-state racing OnAccess allocates %.2f/op, want 0", avg)
+					}
+					// lockset reports an area once and off reports nothing; for
+					// the rest, the measured steps must have been racing ones
+					// (vw's home tick orders the home process's own writes).
+					if name := d.Name(); name != "lockset" && name != "off" && raced-warm < 90 {
+						t.Errorf("only %d of the ~100 measured steps raced", raced-warm)
 					}
 				})
 			}

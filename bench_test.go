@@ -340,14 +340,23 @@ func detectorBench(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkDetectorOnAccess measures one detection step per detector. The
-// vw detectors are required to stay at or below one allocation per access
-// in steady state (see TestOnAccessAllocationBudget).
+// BenchmarkDetectorOnAccess measures one detection step per detector. Every
+// detector is required to allocate nothing per access in steady state,
+// racing or not (see TestOnAccessAllocationBudget).
 func BenchmarkDetectorOnAccess(b *testing.B) { detectorBench(b, 16) }
 
 // BenchmarkDetectorOnAccess256 is the same step at cluster size 256 — the
 // clock sizes the E_Scale family runs at.
 func BenchmarkDetectorOnAccess256(b *testing.B) { detectorBench(b, 256) }
+
+// BenchmarkCollectorSignal measures retaining one race report, with the
+// report's own clock new to the intern table or already in it.
+func BenchmarkCollectorSignal(b *testing.B) {
+	for _, n := range []int{16, 256} {
+		b.Run(fmt.Sprintf("n=%d/unique", n), func(b *testing.B) { benchCollectorSignal(b, n, true) })
+		b.Run(fmt.Sprintf("n=%d/repeating", n), func(b *testing.B) { benchCollectorSignal(b, n, false) })
+	}
+}
 
 // BenchmarkMemoryPutThroughput measures raw substrate bandwidth (large
 // payload puts, detection off).

@@ -617,12 +617,57 @@ func benchDetectorOnAccess(b *testing.B, d core.Detector, n int, mixed bool) {
 	}
 }
 
+// collectorPool is how many distinct clocks a /repeating CollectorSignal row
+// rotates over per field: few enough that every lookup after the first lap
+// is a hit.
+const collectorPool = 64
+
+// benchCollectorSignal measures what retaining one race report costs, the
+// two ways the intern table can be hit. Unique is the racing process's own
+// stream: every report carries a Current.Clock no earlier report had (one
+// insert), against a stored clock and a prior access that repeat. Repeating
+// rotates all three clocks over collectorPool values each, so once warm a
+// report inserts nothing. The collector is never reset: the table and the
+// slabs grow through the run as they do in a racy cluster.
+func benchCollectorSignal(b *testing.B, n int, unique bool) {
+	b.Helper()
+	pool := func(comp int) []vclock.VC {
+		out := make([]vclock.VC, collectorPool)
+		for i := range out {
+			out[i] = vclock.New(n)
+			out[i][comp] = uint64(i + 1)
+		}
+		return out
+	}
+	cur, stored, prior := pool(0), pool(1), pool(2)
+	fresh := vclock.New(n)
+	rep := core.Report{Detector: "bench", Prior: &core.Access{Proc: 2, Kind: core.Write}}
+	col := &core.Collector{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % collectorPool
+		clk := cur[k]
+		if unique {
+			fresh.Tick(3)
+			k, clk = 0, fresh
+		}
+		rep.Current = core.Access{Proc: 3, Seq: uint64(i), Kind: core.Write, Clock: clk}
+		rep.StoredClock, rep.Prior.Clock = stored[k], prior[k]
+		col.Signal(rep)
+	}
+	b.StopTimer()
+	if col.Total() != b.N || len(col.Reports()) != b.N {
+		b.Fatalf("collector holds %d of %d reports", len(col.Reports()), b.N)
+	}
+}
+
 // StandardBenchmarks returns the canonical benchmark set the cmd/bench
 // harness records in the perf trajectory: the raw put/get primitives, the
 // wire-protocol ablation, the E-T4 throughput grid, the per-coherence
-// workload comparison, the clock compare/merge micro rows, and the
-// per-detector OnAccess microbenchmark — the last two as a fixed-pair row
-// and a /mixed row each.
+// workload comparison, the clock compare/merge micro rows and the
+// per-detector OnAccess microbenchmark — those two as a fixed-pair row and a
+// /mixed row each — and the collector's report-retention rows.
 func StandardBenchmarks() []BenchSpec {
 	specs := []BenchSpec{
 		{Name: "E_F2_Put", F: func(b *testing.B) { benchOps(b, "off", "", 1, false) }},
@@ -674,6 +719,18 @@ func StandardBenchmarks() []BenchSpec {
 					F:    func(b *testing.B) { benchDetectorOnAccess(b, d, n, mixed) },
 				})
 			}
+		}
+	}
+	for _, n := range []int{16, 256} {
+		for _, unique := range []bool{true, false} {
+			variant := "repeating"
+			if unique {
+				variant = "unique"
+			}
+			specs = append(specs, BenchSpec{
+				Name: fmt.Sprintf("CollectorSignal/n=%d/%s", n, variant),
+				F:    func(b *testing.B) { benchCollectorSignal(b, n, unique) },
+			})
 		}
 	}
 	return specs

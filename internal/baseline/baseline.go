@@ -31,13 +31,10 @@ type singleState struct {
 	v       vclock.Masked
 	last    core.Access
 	hasLast bool
-	// lastClock, repClock and priorBuf are state-owned buffers backing the
-	// retained last access and the borrowed report fields (see
-	// core.AreaState.OnAccess).
-	lastClock  vclock.Masked
-	repClock   vclock.VC
-	priorBuf   core.Access
-	priorClock vclock.VC
+	// lastClock is the state-owned buffer backing the retained last access;
+	// scratch backs returned reports (see core.AreaState.OnAccess).
+	lastClock vclock.Masked
+	scratch   core.ReportScratch
 }
 
 func (s *singleState) OnAccess(acc core.Access, home int, absorb vclock.Masked) (*core.Report, vclock.Masked) {
@@ -48,21 +45,11 @@ func (s *singleState) OnAccess(acc core.Access, home int, absorb vclock.Masked) 
 	// access folds in as a block copy.
 	ord := in.Compare(s.v)
 	if ord == vclock.Concurrent {
-		s.repClock = s.v.V.CopyInto(s.repClock)
-		rep = &core.Report{
-			Detector:    s.det.Name(),
-			Area:        acc.Area,
-			Current:     acc,
-			StoredClock: s.repClock,
-			Time:        acc.Time,
-		}
+		var prior *core.Access
 		if s.hasLast {
-			s.priorClock = s.last.Clock.CopyInto(s.priorClock)
-			s.priorBuf = s.last
-			s.priorBuf.Clock = s.priorClock
-			s.priorBuf.ClockNZ = nil
-			rep.Prior = &s.priorBuf
+			prior = &s.last
 		}
+		rep = s.scratch.Fill(s.det.Name(), acc, s.v.V, prior)
 		s.v.Merge(in)
 	} else if ord == vclock.After {
 		s.v = in.CopyInto(s.v)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"testing"
 
 	"dsmrace/internal/core"
@@ -154,6 +155,11 @@ func TestLocksetIntersectionRefinement(t *testing.T) {
 	rep, _ := st.OnAccess(accL(0, core.Write, []int{9}, 2, 1), 0, vclock.Masked{})
 	if rep == nil {
 		t.Fatal("emptied lockset must be reported")
+	}
+	// The prior access's locks are a snapshot, not a window onto the
+	// last-locks buffer this very access has just overwritten.
+	if rep.Prior == nil || !slices.Equal(rep.Prior.Locks, []int{2, 3}) {
+		t.Fatalf("prior = %+v, want P1's access under locks [2 3]", rep.Prior)
 	}
 }
 

@@ -46,12 +46,11 @@ type epochState struct {
 	homeTick uint64    // counts write events at the home, mirroring the VW home tick
 
 	// Last-access context stored by value in state-owned buffers; reports
-	// borrow priorBuf (see core.AreaState.OnAccess).
+	// live in scratch (see core.AreaState.OnAccess).
 	lastW, lastR       core.Access
 	hasLastW, hasLastR bool
 	lwClock, lrClock   vclock.VC
-	priorBuf           core.Access
-	priorClock         vclock.VC
+	scratch            core.ReportScratch
 }
 
 // setLast records acc into a last-access slot, copying its clock into the
@@ -67,20 +66,10 @@ func (s *epochState) setLast(slot *core.Access, clk *vclock.VC, has *bool, acc c
 func (s *epochState) OnAccess(acc core.Access, home int, absorb vclock.Masked) (*core.Report, vclock.Masked) {
 	var rep *core.Report
 	mk := func(prior *core.Access, has bool) *core.Report {
-		r := &core.Report{
-			Detector: "epoch",
-			Area:     acc.Area,
-			Current:  acc,
-			Time:     acc.Time,
+		if !has {
+			prior = nil
 		}
-		if has {
-			s.priorClock = prior.Clock.CopyInto(s.priorClock)
-			s.priorBuf = *prior
-			s.priorBuf.Clock = s.priorClock
-			s.priorBuf.ClockNZ = nil
-			r.Prior = &s.priorBuf
-		}
-		return r
+		return s.scratch.Fill("epoch", acc, nil, prior)
 	}
 	switch acc.Kind {
 	case core.Write:

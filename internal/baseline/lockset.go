@@ -50,13 +50,11 @@ type locksetState struct {
 	reported   bool // Eraser reports each area at most once
 	// heldBuf is scratch for the sorted copy of acc.Locks.
 	heldBuf []int
-	// Last-access context stored by value; reports borrow priorBuf.
-	last       core.Access
-	hasLast    bool
-	lastClock  vclock.VC
-	lastLocks  []int
-	priorBuf   core.Access
-	priorClock vclock.VC
+	// Last-access context stored by value, in state-owned buffers.
+	last      core.Access
+	hasLast   bool
+	lastClock vclock.VC
+	lastLocks []int
 }
 
 // intersectInPlace filters a down to its intersection with b (both sorted).
@@ -110,19 +108,13 @@ func (s *locksetState) OnAccess(acc core.Access, home int, absorb vclock.Masked)
 	var rep *core.Report
 	if s.phase == lsSharedModified && s.hasCands && len(s.candidates) == 0 && !s.reported {
 		s.reported = true
-		rep = &core.Report{
-			Detector: "lockset",
-			Area:     acc.Area,
-			Current:  acc,
-			Time:     acc.Time,
-		}
+		var prior *core.Access
 		if s.hasLast {
-			s.priorClock = s.last.Clock.CopyInto(s.priorClock)
-			s.priorBuf = s.last
-			s.priorBuf.Clock = s.priorClock
-			s.priorBuf.ClockNZ = nil
-			rep.Prior = &s.priorBuf
+			prior = &s.last
 		}
+		// The area's only report: its scratch needs no slot in the state.
+		var scratch core.ReportScratch
+		rep = scratch.Fill("lockset", acc, nil, prior)
 	}
 	s.lastClock = acc.Clock.CopyInto(s.lastClock)
 	s.lastLocks = append(s.lastLocks[:0], acc.Locks...)

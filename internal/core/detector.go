@@ -86,10 +86,9 @@ func (r Report) String() string {
 }
 
 // Clone returns a copy of the report that shares no storage with the
-// detector state that produced it. Reports returned by OnAccess borrow
-// their StoredClock and Prior from per-state scratch buffers (the
-// zero-allocation contract); anything that retains a report past the next
-// OnAccess call on the same state must Clone it first.
+// detector state that produced it. Reports returned by OnAccess live in
+// per-state scratch (the zero-allocation contract); anything that retains a
+// report past the next OnAccess call on the same state must Clone it first.
 //
 // Current.Clock is copied too: the initiator's clock rides in a per-process
 // scratch buffer that the process's *next* operation overwrites, so a
@@ -122,6 +121,49 @@ func (r Report) Pair() (a, b [2]uint64, ok bool) {
 	return a, b, true
 }
 
+// ReportScratch is the storage a report returned by OnAccess lives in: the
+// report itself, its StoredClock, and a snapshot of the prior access. An area
+// state embeds one. It is a single pointer until the area's first race, so a
+// race-free area never pays for the buffers and a racing one allocates
+// nothing per report.
+type ReportScratch struct{ buf *reportBuf }
+
+type reportBuf struct {
+	rep        Report
+	stored     vclock.VC
+	prior      Access
+	priorClock vclock.VC
+	priorLocks []int
+}
+
+// Fill builds the report for acc in the scratch and returns it; the previous
+// report built here is overwritten. stored (the area clock acc was checked
+// against, nil for detectors that keep none) and prior (nil when unknown)
+// are copied, because the state updates both before OnAccess returns.
+func (s *ReportScratch) Fill(detector string, acc Access, stored vclock.VC, prior *Access) *Report {
+	if s.buf == nil {
+		s.buf = new(reportBuf)
+	}
+	b := s.buf
+	b.rep = Report{Detector: detector, Area: acc.Area, Current: acc, Time: acc.Time}
+	if stored != nil {
+		b.stored = stored.CopyInto(b.stored)
+		b.rep.StoredClock = b.stored
+	}
+	if prior != nil {
+		b.priorClock = prior.Clock.CopyInto(b.priorClock)
+		b.prior = *prior
+		b.prior.Clock = b.priorClock
+		b.prior.ClockNZ = nil
+		if prior.Locks != nil {
+			b.priorLocks = append(b.priorLocks[:0], prior.Locks...)
+			b.prior.Locks = b.priorLocks
+		}
+		b.rep.Prior = &b.prior
+	}
+	return &b.rep
+}
+
 // AreaState is per-area (or per-node, at node granularity) detector state
 // owned by the home NIC. Implementations are not safe for real concurrent
 // use; the simulation serialises all calls, mirroring the paper's
@@ -139,9 +181,10 @@ type AreaState interface {
 	// threads the returned buffer back in performs no allocation in steady
 	// state. Pass the zero Masked to get a freshly allocated clock.
 	//
-	// The returned report borrows its StoredClock and Prior fields from
-	// per-state scratch storage; they are valid until the next OnAccess call
-	// on this state. Retain with Report.Clone (Collector.Signal clones).
+	// The returned report lives in per-state scratch storage (see
+	// ReportScratch) — the struct, its StoredClock and its Prior — and is
+	// valid until the next OnAccess call on this state. Retain with
+	// Report.Clone (Collector.Signal builds its own copy).
 	// The state may also retain acc.Clock only until it returns: it copies
 	// what it needs into its own buffers.
 	OnAccess(acc Access, home int, absorb vclock.Masked) (*Report, vclock.Masked)
@@ -169,23 +212,27 @@ type Detector interface {
 	NewAreaState(n int) AreaState
 }
 
-// reportChunk is the collector's storage unit. Racy workloads can signal
-// hundreds of thousands of reports; a chunked list appends in O(1) without
-// ever re-copying (and re-zeroing) a doubling backing array, which showed up
-// as the single largest cost in throughput benchmarks.
+// reportChunk is the collector's storage unit, for reports and for their
+// prior accesses alike. Racy workloads can signal hundreds of thousands of
+// reports; a chunked list appends in O(1) without ever re-copying (and
+// re-zeroing) a doubling backing array, which showed up as the single largest
+// cost in throughput benchmarks.
 const reportChunk = 512
 
 // Collector gathers reports with an optional cap and callback. It
 // implements the paper's signalling policy: record and continue.
 //
-// Stored reports' clock fields are interned: reports whose StoredClock,
-// Current.Clock or Prior.Clock are equal by value share one immutable
-// snapshot (see intern.go), so a racy run that signals thousands of reports
-// against the same handful of area clocks holds each distinct clock once.
-// Reports returned by Reports() (or passed to OnReport) are therefore
+// A stored report is built in place in three collector-owned slabs and costs
+// no allocation of its own: the report in the tail slot of a report chunk,
+// its Prior access in the tail slot of a prior chunk, and its clocks in the
+// intern table's arena (see intern.go). The clock fields are interned:
+// reports whose StoredClock, Current.Clock or Prior.Clock are equal by value
+// share one immutable snapshot, so a racy run that signals thousands of
+// reports against the same handful of area clocks holds each distinct clock
+// once. Reports returned by Reports() (or passed to OnReport) are therefore
 // read-only: mutating a clock in one would silently corrupt every report
-// sharing it. Set NoIntern to fall back to fully independent per-report
-// copies.
+// sharing it, and a Prior is shared by every copy of its report. Set
+// NoIntern to fall back to fully independent per-report copies.
 type Collector struct {
 	// Limit caps stored reports (0 = unlimited). Detection continues past
 	// the limit; only storage stops.
@@ -201,7 +248,11 @@ type Collector struct {
 	// many. Default (the zero SampleSpec) stores everything.
 	Sample SampleSpec
 
+	// chunks holds the stored reports in signal order; only the last chunk
+	// has room. After Reports() flattened them it is that one flat slice,
+	// full, so the reports are never held twice.
 	chunks    [][]Report
+	priors    []Access // tail chunk of the prior-access slab
 	stored    int
 	total     int
 	flat      []Report // cached Reports() result; nil after a new Signal
@@ -278,41 +329,77 @@ func (c *Collector) Signal(r Report) {
 	if retain && c.Sample.enabled() && !c.sampleAdmit(&r) {
 		retain = false // sampled out: counted, streamed, not stored
 	}
-	if !retain && c.OnReport == nil {
+	if !retain {
+		// A report merely streamed to OnReport gets a plain GC-able clone,
+		// so the slabs stay bounded by the retained reports (and
+		// InternStats keeps describing exactly them).
+		if c.OnReport != nil {
+			c.OnReport(r.Clone())
+		}
 		return
 	}
-	// Intern only reports that will actually be stored: a report merely
-	// streamed to OnReport past Limit gets a plain GC-able clone, so the
-	// intern table stays bounded by the retained reports (and InternStats
-	// keeps describing exactly them).
-	if c.NoIntern || !retain {
-		r = r.Clone()
+	n := len(c.chunks)
+	if n == 0 || len(c.chunks[n-1]) == cap(c.chunks[n-1]) {
+		c.chunks = append(c.chunks, make([]Report, 0, reportChunk))
+		n++
+	}
+	// Build the stored report in its slot; the slot joins the chunk once
+	// OnReport has seen it.
+	ch := c.chunks[n-1]
+	ch = ch[:len(ch)+1]
+	slot := &ch[len(ch)-1]
+	if c.NoIntern {
+		*slot = r.Clone()
 	} else {
-		r = r.cloneInterned(&c.intern)
+		*slot = r
+		c.own(slot)
 	}
 	if c.OnReport != nil {
-		c.OnReport(r)
+		c.OnReport(*slot)
 	}
-	if !retain {
-		return
-	}
-	if n := len(c.chunks); n == 0 || len(c.chunks[n-1]) == cap(c.chunks[n-1]) {
-		c.chunks = append(c.chunks, make([]Report, 0, reportChunk))
-	}
-	last := len(c.chunks) - 1
-	c.chunks[last] = append(c.chunks[last], r)
+	c.chunks[n-1] = ch
 	c.stored++
 	c.flat = nil
 }
 
+// own is Report.Clone in place, with every copied clock routed through the
+// intern table and the prior access through the prior slab. The semantics
+// match Clone exactly: afterwards the report shares no storage with detector
+// or process scratch buffers — it shares storage only with other interned
+// reports, all of which treat it as immutable.
+func (c *Collector) own(r *Report) {
+	r.StoredClock = c.intern.get(r.StoredClock)
+	r.Current.Clock = c.intern.get(r.Current.Clock)
+	r.Current.ClockNZ = nil
+	if r.Prior == nil {
+		return
+	}
+	if len(c.priors) == cap(c.priors) {
+		c.priors = make([]Access, 0, reportChunk)
+	}
+	c.priors = append(c.priors, *r.Prior)
+	p := &c.priors[len(c.priors)-1]
+	p.Clock = c.intern.get(p.Clock)
+	p.ClockNZ = nil
+	if p.Locks != nil {
+		p.Locks = append([]int(nil), p.Locks...)
+	}
+	r.Prior = p
+}
+
 // Reports returns the stored reports in signal order. The flattened slice
-// is built lazily and cached.
+// is built lazily and cached; it then replaces the chunks it was built from,
+// capped at its length so the next Signal opens a fresh chunk instead of
+// appending into a slice a caller holds.
 func (c *Collector) Reports() []Report {
 	if c.flat == nil && c.stored > 0 {
-		c.flat = make([]Report, 0, c.stored)
+		flat := make([]Report, 0, c.stored)
 		for _, ch := range c.chunks {
-			c.flat = append(c.flat, ch...)
+			flat = append(flat, ch...)
 		}
+		clear(c.chunks)
+		c.chunks = append(c.chunks[:0], flat)
+		c.flat = flat
 	}
 	return c.flat
 }

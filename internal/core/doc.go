@@ -18,4 +18,13 @@
 // literal protocol, where the initiating library fetches the remote clocks,
 // compares locally per Algorithm 3 and writes back merged clocks per
 // Algorithms 4–5).
+//
+// Per §IV-D a race is signalled, never fatal, so a racy program pays for
+// every report and the reporting path is held to the same standard as the
+// check itself: an area state builds its report in a ReportScratch it owns
+// (OnAccess allocates nothing, racing or not; the report is valid until the
+// state's next OnAccess), and the Collector retains a report by building its
+// copy in place in slabs it owns — report chunks, prior-access chunks and the
+// intern table's clock arena (intern.go) — with no allocation per report.
+// Retained reports share clock snapshots by value and are read-only.
 package core

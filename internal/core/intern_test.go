@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dsmrace/internal/vclock"
@@ -36,8 +37,149 @@ func TestClockInternDedups(t *testing.T) {
 	}
 }
 
+// TestClockInternTable walks the open-addressed table and the slab arena
+// through the states a long racy run puts them in.
+func TestClockInternTable(t *testing.T) {
+	// clock i of length n: scrambled components (splitmix64), because FNV
+	// over small counters is close to a perfect hash and would never chain.
+	mk := func(i, n int) vclock.VC {
+		c := make(vclock.VC, n)
+		for j := range c {
+			x := uint64(i*n+j+1) * 0x9e3779b97f4a7c15
+			x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			x = (x ^ x>>27) * 0x94d049bb133111eb
+			c[j] = x ^ x>>31
+		}
+		return c
+	}
+	// unaliased holds when the snapshots still read as the values they were
+	// made from (an overlapping carve would have overwritten one), are capped
+	// at their length, and appending to one leaves the rest alone.
+	unaliased := func(t *testing.T, snaps []vclock.VC, n int) {
+		t.Helper()
+		for i, s := range snaps {
+			if cap(s) != len(s) {
+				t.Fatalf("snapshot %d: cap %d != len %d", i, cap(s), len(s))
+			}
+			_ = append(s, ^uint64(0))
+		}
+		for i, s := range snaps {
+			if !slices.Equal(s, mk(i, n)) {
+				t.Fatalf("snapshot %d corrupted: %v", i, s)
+			}
+		}
+	}
+
+	t.Run("identity survives grow", func(t *testing.T) {
+		var tab clockIntern
+		const n, count = 4, 3 * internMinTable // several doublings
+		snaps := make([]vclock.VC, count)
+		for i := range snaps {
+			snaps[i] = tab.get(mk(i, n))
+		}
+		if len(tab.table) <= internMinTable {
+			t.Fatalf("table never grew: %d slots", len(tab.table))
+		}
+		for i, s := range snaps {
+			if again := tab.get(mk(i, n)); &again[0] != &s[0] {
+				t.Fatalf("clock %d re-interned after grow", i)
+			}
+		}
+		if tab.unique != count || tab.refs != 2*count || tab.bytes != 8*n*count {
+			t.Errorf("unique=%d refs=%d bytes=%d", tab.unique, tab.refs, tab.bytes)
+		}
+		unaliased(t, snaps, n)
+	})
+
+	t.Run("slab rollover", func(t *testing.T) {
+		var tab clockIntern
+		const n = 48 // does not divide slabWords: every slab ends in a gap
+		count := 3*slabWords/n + 1
+		snaps := make([]vclock.VC, count)
+		first := tab.get(mk(0, n))
+		retired := &tab.slab[:1][0]
+		snaps[0] = first
+		for i := 1; i < count; i++ {
+			snaps[i] = tab.get(mk(i, n))
+		}
+		if &tab.slab[:1][0] == retired {
+			t.Fatal("slab never rolled over")
+		}
+		if &first[0] != retired {
+			t.Fatal("first snapshot does not sit at the head of the first slab")
+		}
+		unaliased(t, snaps, n)
+	})
+
+	t.Run("empty and nil", func(t *testing.T) {
+		var tab clockIntern
+		if got := tab.get(nil); got != nil || tab.refs != 0 {
+			t.Fatalf("get(nil) = %v, refs %d", got, tab.refs)
+		}
+		a, b := tab.get(vclock.VC{}), tab.get(make(vclock.VC, 0, 8))
+		if a == nil || b == nil || len(a) != 0 || len(b) != 0 {
+			t.Fatalf("empty clocks interned as %v, %v; want empty, non-nil", a, b)
+		}
+		if tab.unique != 1 || tab.refs != 2 || tab.bytes != 0 {
+			t.Errorf("unique=%d refs=%d bytes=%d, want 1/2/0", tab.unique, tab.refs, tab.bytes)
+		}
+		// An empty clock at the very end of a full slab is still non-nil.
+		tab = clockIntern{}
+		tab.get(mk(1, slabWords))
+		if e := tab.get(vclock.VC{}); e == nil || cap(e) != 0 {
+			t.Errorf("empty clock on a full slab = %v (cap %d)", e, cap(e))
+		}
+	})
+
+	t.Run("longer than a slab", func(t *testing.T) {
+		var tab clockIntern
+		small := tab.get(mk(1, 3))
+		const n = slabWords + 17
+		big := tab.get(mk(2, n))
+		after := tab.get(mk(3, 3))
+		if !slices.Equal(big, mk(2, n)) || cap(big) != n {
+			t.Fatalf("long clock: len %d cap %d", len(big), cap(big))
+		}
+		if again := tab.get(mk(2, n)); &again[0] != &big[0] {
+			t.Error("long clock not deduplicated")
+		}
+		if !slices.Equal(small, mk(1, 3)) || !slices.Equal(after, mk(3, 3)) {
+			t.Error("neighbours of the long clock corrupted")
+		}
+	})
+
+	t.Run("probe chains", func(t *testing.T) {
+		// Two slots to start with: every doubling up to 512 slots runs at
+		// three-quarters load, so most inserts and lookups walk a chain.
+		tab := clockIntern{table: make([]internEntry, 2)}
+		const n, count = 2, 300
+		snaps := make([]vclock.VC, count)
+		for i := range snaps {
+			snaps[i] = tab.get(mk(i, n))
+		}
+		chained := 0
+		for i, e := range tab.table {
+			if e.snap != nil && int(e.hash&uint64(len(tab.table)-1)) != i {
+				chained++
+			}
+		}
+		if chained == 0 {
+			t.Fatal("no entry sits off its home slot; the test forces nothing")
+		}
+		for i, s := range snaps {
+			if again := tab.get(mk(i, n)); &again[0] != &s[0] {
+				t.Fatalf("clock %d not deduplicated through its probe chain", i)
+			}
+		}
+		if tab.unique != count {
+			t.Errorf("unique = %d, want %d", tab.unique, count)
+		}
+	})
+}
+
 // TestCloneInternedMatchesClone pins the equivalence that keeps report-hash
-// fingerprints safe: an interned clone renders identically to a deep clone.
+// fingerprints safe: a report the collector interned in place renders
+// identically to a deep clone and retains nothing it borrowed.
 func TestCloneInternedMatchesClone(t *testing.T) {
 	prior := &Access{Proc: 1, Seq: 4, Kind: Write, Clock: vclock.VC{0, 7}, Locks: []int{2}}
 	r := Report{
@@ -47,18 +189,69 @@ func TestCloneInternedMatchesClone(t *testing.T) {
 		StoredClock: vclock.VC{4, 7},
 		Prior:       prior,
 	}
-	var tab clockIntern
-	a, b := r.Clone(), r.cloneInterned(&tab)
+	var col Collector
+	col.Signal(r)
+	col.Signal(r)
+	a, b, c := r.Clone(), col.Reports()[0], col.Reports()[1]
 	if a.String() != b.String() {
 		t.Errorf("interned clone renders differently:\n%s\n%s", a.String(), b.String())
 	}
-	if b.Current.ClockNZ != nil || b.Prior == prior {
+	if b.Current.ClockNZ != nil || b.Prior == prior || b.Prior == c.Prior ||
+		&b.Prior.Locks[0] == &prior.Locks[0] || &b.StoredClock[0] == &r.StoredClock[0] {
 		t.Error("interned clone retains borrowed structure")
 	}
 	// Shared storage across reports with equal clocks.
-	c := r.cloneInterned(&tab)
-	if &b.StoredClock[0] != &c.StoredClock[0] {
+	if &b.StoredClock[0] != &c.StoredClock[0] || &b.Prior.Clock[0] != &c.Prior.Clock[0] {
 		t.Error("repeated interned clones do not share storage")
+	}
+}
+
+// TestCollectorSignalAfterReports: flattening hands the chunk storage over to
+// the returned slice, so a later Signal must open a fresh chunk — never write
+// into, or reorder behind, a slice a caller already holds.
+func TestCollectorSignalAfterReports(t *testing.T) {
+	var col Collector
+	signal := func(seq int) {
+		col.Signal(Report{Current: Access{Seq: uint64(seq), Clock: vclock.VC{uint64(seq)}}})
+	}
+	seqs := func(rs []Report) []uint64 {
+		out := make([]uint64, len(rs))
+		for i, r := range rs {
+			out[i] = r.Current.Seq
+		}
+		return out
+	}
+	want := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(i)
+		}
+		return out
+	}
+	n := 0
+	var held [][]Report
+	// Flatten mid-chunk, on a chunk boundary, and twice in a row.
+	for _, upTo := range []int{3, reportChunk, reportChunk, 2*reportChunk + 5} {
+		for ; n < upTo; n++ {
+			signal(n)
+		}
+		rs := col.Reports()
+		if len(rs) != n || cap(rs) != n {
+			t.Fatalf("after %d signals: len %d cap %d", n, len(rs), cap(rs))
+		}
+		if len(col.chunks) != 1 || &col.chunks[0][0] != &rs[0] {
+			t.Fatalf("after %d signals: reports held in %d chunks beside the flat slice", n, len(col.chunks))
+		}
+		held = append(held, rs)
+	}
+	signal(n)
+	for _, rs := range held {
+		if !slices.Equal(seqs(rs), want(len(rs))) {
+			t.Errorf("slice of %d returned earlier changed: %v", len(rs), seqs(rs))
+		}
+	}
+	if got := seqs(col.Reports()); !slices.Equal(got, want(n+1)) {
+		t.Errorf("order lost after Signal following Reports: %v", got)
 	}
 }
 

@@ -99,11 +99,8 @@ type vwAreaState struct {
 	hasLastWrite, hasLastRead bool
 	lwClock, lrClock          vclock.Masked
 
-	// repClock and priorBuf back the StoredClock and Prior fields of
-	// returned reports (borrowed; see AreaState.OnAccess).
-	repClock   vclock.VC
-	priorBuf   Access
-	priorClock vclock.VC
+	// scratch backs returned reports (borrowed; see AreaState.OnAccess).
+	scratch ReportScratch
 }
 
 // EnableAbsorbElision implements AbsorbElider.
@@ -135,8 +132,7 @@ func (s *vwAreaState) OnAccess(acc Access, home int, absorb vclock.Masked) (*Rep
 		ord := in.Compare(s.v)
 		switch ord {
 		case vclock.Concurrent: // CheckWrite
-			s.repClock = s.v.V.CopyInto(s.repClock)
-			rep = s.report(acc, s.conflictContext(in))
+			rep = s.report(acc, s.v.V, s.conflictContext(in))
 			s.v.Merge(in)
 		case vclock.After:
 			s.v = in.CopyInto(s.v)
@@ -169,8 +165,7 @@ func (s *vwAreaState) OnAccess(acc Access, home int, absorb vclock.Masked) (*Rep
 			ord := in.Compare(s.v)
 			switch ord {
 			case vclock.Concurrent: // CheckRead
-				s.repClock = s.v.V.CopyInto(s.repClock)
-				rep = s.report(acc, s.priorWrite())
+				rep = s.report(acc, s.v.V, s.priorWrite())
 				s.w = s.v.CopyInto(s.w)
 				s.wIsV = false
 				s.v.Merge(in)
@@ -186,8 +181,7 @@ func (s *vwAreaState) OnAccess(acc Access, home int, absorb vclock.Masked) (*Rep
 		} else {
 			ord := in.Compare(s.w)
 			if ord == vclock.Concurrent { // CheckRead
-				s.repClock = s.w.V.CopyInto(s.repClock)
-				rep = s.report(acc, s.priorWrite())
+				rep = s.report(acc, s.w.V, s.priorWrite())
 			}
 			s.v.Merge(in)
 			covered = ord == vclock.After || ord == vclock.Equal
@@ -241,26 +235,12 @@ func (s *vwAreaState) conflictContext(in vclock.Masked) *Access {
 	return nil
 }
 
-// report builds a race report around the repClock scratch the caller has
-// already rebuilt (the pre-update stored clock); prior (a pointer into
-// the last-access slots) is snapshotted into priorBuf because the same
-// OnAccess call overwrites those slots on its way out.
-func (s *vwAreaState) report(acc Access, prior *Access) *Report {
-	rep := &Report{
-		Detector:    s.det.Name(),
-		Area:        acc.Area,
-		Current:     acc,
-		StoredClock: s.repClock,
-		Time:        acc.Time,
-	}
-	if prior != nil {
-		s.priorClock = prior.Clock.CopyInto(s.priorClock)
-		s.priorBuf = *prior
-		s.priorBuf.Clock = s.priorClock
-		s.priorBuf.ClockNZ = nil
-		rep.Prior = &s.priorBuf
-	}
-	return rep
+// report builds a race report in the state's scratch. stored is the
+// pre-update area clock acc was checked against and prior a pointer into the
+// last-access slots; the scratch snapshots both, because the same OnAccess
+// call overwrites them on its way out.
+func (s *vwAreaState) report(acc Access, stored vclock.VC, prior *Access) *Report {
+	return s.scratch.Fill(s.det.Name(), acc, stored, prior)
 }
 
 // StorageBytes implements AreaState: two vector clocks — the paper's

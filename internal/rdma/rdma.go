@@ -825,23 +825,24 @@ func (ps *shardPools) nextReq() uint64 {
 	return ps.idBase | ps.reqSeq
 }
 
-// signal forwards a detector report to the collector, stamping the time.
-// n is the NIC in whose context the report was produced. On a sharded
-// system the collector is shared across shards, so the (cloned) report is
-// deferred through the window barrier's ordered replay — it reaches the
-// collector at the signalling event's exact position in the serial order,
-// keeping report order, collector limits and interning bit-identical.
+// signal forwards a detector report to the collector, stamping the time on
+// the borrowed report itself (the detector's scratch, or the caller's
+// literal). n is the NIC in whose context the report was produced. On a
+// sharded system the collector is shared across shards, so the (cloned)
+// report is deferred through the window barrier's ordered replay — it
+// reaches the collector at the signalling event's exact position in the
+// serial order, keeping report order, collector limits and interning
+// bit-identical.
 func (s *System) signal(n *NIC, rep *core.Report, at sim.Time) {
 	if rep == nil || s.cfg.Collector == nil {
 		return
 	}
-	r := *rep
-	r.Time = at
+	rep.Time = at
 	if !s.multi {
-		s.cfg.Collector.Signal(r)
+		s.cfg.Collector.Signal(*rep)
 		return
 	}
-	rc := r.Clone() // the borrowed scratch fields won't survive the window
+	rc := rep.Clone() // the borrowed scratch fields won't survive the window
 	// signal is context-polymorphic: under !multi it runs the collector
 	// inline (any context), and the s.multi guard above means this branch
 	// executes only from CPS delivery continuations inside a window.
