@@ -263,13 +263,11 @@ func benchPartition(b *testing.B, n, kernels int, mkW func(n, rounds int) worklo
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
 	if st := res.WindowStats; st != nil {
 		// Window/barrier machinery counters (last iteration's run): these
-		// prove whether adaptive extension and pipelined replay fired, and
-		// how the wall clock split between parallel windows and serial
-		// barriers.
+		// prove whether adaptive extension fired, and how the wall clock
+		// split between parallel windows and serial barriers.
 		b.ReportMetric(float64(st.Windows), "mk_windows")
 		b.ReportMetric(float64(st.SubWindows), "mk_subwindows")
 		b.ReportMetric(float64(st.Extensions), "mk_extensions")
-		b.ReportMetric(float64(st.PipelinedReplays), "mk_pipelined")
 		b.ReportMetric(float64(st.ReplayRecords), "mk_replay_recs")
 		b.ReportMetric(float64(st.WindowNs), "mk_window_ns")
 		b.ReportMetric(float64(st.BarrierNs), "mk_barrier_ns")

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"dsmrace"
 	coherencepkg "dsmrace/internal/coherence"
@@ -28,9 +29,9 @@ func main() {
 	var (
 		name      = flag.String("workload", "master-worker", "workload: master-worker, stencil, stencil-buggy, histogram, histogram-racy, prodcons, random, random-locked, pipeline, migratory, prodchain")
 		procs     = flag.Int("procs", 4, "number of processes")
-		detector  = flag.String("detector", "vw", "detector: vw, vw-exact, single-clock, lockset, epoch, off")
+		detector  = flag.String("detector", "vw", "detector: "+strings.Join(dsmrace.DetectorNames(), ", "))
 		protocol  = flag.String("protocol", "piggyback", "wire protocol: piggyback or literal")
-		coherence = flag.String("coherence", "write-update", "coherence protocol: write-update or write-invalidate")
+		coherence = flag.String("coherence", "write-update", "coherence protocol: "+strings.Join(dsmrace.CoherenceNames(), ", "))
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		ops       = flag.Int("ops", 50, "operations per process (random workloads)")
 		readPct   = flag.Int("read", 50, "read percentage (random workloads)")
@@ -65,11 +66,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dsmrace:", err)
 		os.Exit(2)
 	}
-	if coh.CachesRemoteReads() && rcfg.Protocol == rdma.ProtocolLiteral {
-		fmt.Fprintf(os.Stderr, "dsmrace: %s requires the piggyback wire protocol\n", coh.Name())
+	rcfg.Coherence = coh
+	if err := rcfg.Validate(w.Procs, false); err != nil {
+		fmt.Fprintln(os.Stderr, "dsmrace:", err)
 		os.Exit(2)
 	}
-	rcfg.Coherence = coh
 	needTrace := *truth || *traceOut != ""
 	res, err := w.Run(dsm.Config{Seed: *seed, RDMA: rcfg, Trace: needTrace, Kernels: *kernels})
 	if err != nil {

@@ -66,49 +66,40 @@ func TestDeterminismLargeClusterFingerprints(t *testing.T) {
 	for _, g := range largeGoldenRuns {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
-			for _, kernels := range []int{0, 1, 2, 4, 8} {
-				// At the deepest shard count the window machinery is swept
-				// too: default (adaptive extension on), the pre-adaptive
-				// one-lookahead synchronous mode, and forced pipelining must
-				// all reproduce the same golden hash.
-				type winMode struct {
-					name      string
-					ext, pipe int
+			check := func(t *testing.T, kernels int) {
+				d, err := NewDetector(g.det)
+				if err != nil {
+					t.Fatal(err)
 				}
-				modes := []winMode{{"default", 0, 0}}
-				if kernels == 8 {
-					modes = append(modes,
-						winMode{"legacy-windows", 1, -1},
-						winMode{"forced-pipeline", 0, 1})
+				cp, err := coherence.FromName(g.coh)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, mode := range modes {
-					d, err := NewDetector(g.det)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cp, err := coherence.FromName(g.coh)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg := rdma.DefaultConfig(d, nil)
-					cfg.Coherence = cp
-					res, err := largeGoldenWorkload(g.name).Run(dsm.Config{
-						Seed: 1, RDMA: cfg, Kernels: kernels,
-						WindowExtension: mode.ext, PipelinedReplay: mode.pipe,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fmt.Sprintf("races=%d dur=%d msgs=%d bytes=%d fetches=%d hits=%d invals=%d hash=%s",
-						res.RaceCount, int64(res.Duration), res.NetStats.TotalMsgs, res.NetStats.TotalBytes,
-						res.Coherence.Fetches, res.Coherence.Hits, res.Coherence.Invalidations, reportHash(res))
-					want := fmt.Sprintf("races=%d dur=%d msgs=%d bytes=%d fetches=%d hits=%d invals=%d hash=%s",
-						g.races, g.dur, g.msgs, g.bytes, g.fetches, g.hits, g.invals, g.hash)
-					if got != want {
-						t.Errorf("kernels=%d %s: fingerprint drift:\n got  %s\n want %s", kernels, mode.name, got, want)
-					}
+				cfg := rdma.DefaultConfig(d, nil)
+				cfg.Coherence = cp
+				res, err := largeGoldenWorkload(g.name).Run(dsm.Config{Seed: 1, RDMA: cfg, Kernels: kernels})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fmt.Sprintf("races=%d dur=%d msgs=%d bytes=%d fetches=%d hits=%d invals=%d hash=%s",
+					res.RaceCount, int64(res.Duration), res.NetStats.TotalMsgs, res.NetStats.TotalBytes,
+					res.Coherence.Fetches, res.Coherence.Hits, res.Coherence.Invalidations, reportHash(res))
+				want := fmt.Sprintf("races=%d dur=%d msgs=%d bytes=%d fetches=%d hits=%d invals=%d hash=%s",
+					g.races, g.dur, g.msgs, g.bytes, g.fetches, g.hits, g.invals, g.hash)
+				if got != want {
+					t.Errorf("kernels=%d: fingerprint drift:\n got  %s\n want %s", kernels, got, want)
 				}
 			}
+			for _, kernels := range []int{0, 1, 4} {
+				check(t, kernels)
+			}
+			// The shallowest and deepest shard counts run under both barrier
+			// regimes, whatever the host's core count.
+			eachBarrierRegime(t, func(t *testing.T) {
+				for _, kernels := range []int{2, 8} {
+					check(t, kernels)
+				}
+			})
 		})
 	}
 }

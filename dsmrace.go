@@ -65,7 +65,7 @@ type (
 	// Time is virtual simulation time in nanoseconds.
 	Time = sim.Time
 	// MultiKernelStats counts the window/barrier work of a Kernels>1 run
-	// (windows, adaptive extensions, pipelined replays, merged records);
+	// (windows, adaptive extensions, merged records);
 	// see Result.WindowStats.
 	MultiKernelStats = sim.MultiKernelStats
 	// CoherenceStats counts replica events (hits, fetches, invalidations)
@@ -187,20 +187,14 @@ type RunSpec struct {
 	// in Result.Kernels/KernelNote — when the run cannot be parallelised
 	// deterministically (tracing, or a latency model without a provable
 	// lookahead; note RunSpec programs count as serial-only when they use
-	// Proc.Rand — declare via SerialOnly).
+	// Proc.Rand — declare via SerialOnly). There is nothing else to tune:
+	// Result.WindowStats reports what the window machinery did.
 	Kernels int
 	// Partition selects the node→shard policy: "blocks" (locality-aware,
 	// default) or "round-robin".
 	Partition string
 	// LocalityGroup hints the affinity-group size for the blocks policy.
 	LocalityGroup int
-	// WindowExtension caps adaptive window extension on a Kernels>1 run
-	// (0 default cap, 1 disables — every window is one lookahead). See
-	// dsm.Config.WindowExtension; Result.WindowStats reports what fired.
-	WindowExtension int
-	// PipelinedReplay selects pipelined barrier replay on a Kernels>1 run:
-	// 0 auto, 1 forced on, -1 forced off. Deterministic at any setting.
-	PipelinedReplay int
 	// SerialOnly declares the programs draw from Proc.Rand (or share Go
 	// state across processes); such runs execute on one kernel.
 	SerialOnly bool
@@ -242,16 +236,6 @@ func (s RunSpec) build() (*Cluster, []Program, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("dsmrace: %w", err)
 	}
-	if coh.CachesRemoteReads() && rcfg.Protocol == rdma.ProtocolLiteral {
-		return nil, nil, fmt.Errorf("dsmrace: coherence %q requires the piggyback wire protocol", s.Coherence)
-	}
-	if rcfg.Protocol == rdma.ProtocolLiteral && det != nil {
-		// Algorithms 1–2 fetch and write back the stored clocks, which a
-		// non-clock detector cannot serve (rdma.NewSystem would panic).
-		if _, ok := det.NewAreaState(1).(core.ClockAccessor); !ok {
-			return nil, nil, fmt.Errorf("dsmrace: detector %q has no clocks; the literal protocol requires a clock-based detector", s.Detector)
-		}
-	}
 	rcfg.Coherence = coh
 	switch s.Granularity {
 	case "", "area":
@@ -262,9 +246,6 @@ func (s RunSpec) build() (*Cluster, []Program, error) {
 	default:
 		return nil, nil, fmt.Errorf("dsmrace: unknown granularity %q", s.Granularity)
 	}
-	if rcfg.Granularity == rdma.GranularityWord && rcfg.Protocol == rdma.ProtocolLiteral {
-		return nil, nil, fmt.Errorf("dsmrace: word granularity requires the piggyback protocol")
-	}
 	rcfg.CompressClocks = s.CompressClocks
 	lat := s.Latency
 	if lat == nil {
@@ -274,19 +255,17 @@ func (s RunSpec) build() (*Cluster, []Program, error) {
 		lat = network.Jitter{Base: lat, Frac: s.Jitter}
 	}
 	c, err := dsm.New(dsm.Config{
-		Procs:           s.Procs,
-		Seed:            s.Seed,
-		Latency:         lat,
-		RDMA:            rcfg,
-		Trace:           s.Trace,
-		Label:           s.Label,
-		Kernels:         s.Kernels,
-		Partition:       s.Partition,
-		LocalityGroup:   s.LocalityGroup,
-		WindowExtension: s.WindowExtension,
-		PipelinedReplay: s.PipelinedReplay,
-		SerialOnly:      s.SerialOnly,
-		Faults:          s.Faults,
+		Procs:         s.Procs,
+		Seed:          s.Seed,
+		Latency:       lat,
+		RDMA:          rcfg,
+		Trace:         s.Trace,
+		Label:         s.Label,
+		Kernels:       s.Kernels,
+		Partition:     s.Partition,
+		LocalityGroup: s.LocalityGroup,
+		SerialOnly:    s.SerialOnly,
+		Faults:        s.Faults,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -15,7 +15,7 @@ import (
 // returns its fingerprint plus the cluster for pool audits. kernels=0 is
 // the plain single kernel.
 func runFaulty(t *testing.T, w workload.Workload, sched *fault.Schedule,
-	kernels int, seed int64, mut func(*rdma.Config), opts ...func(*dsm.Config)) (multiFingerprint, *dsm.Cluster) {
+	kernels int, seed int64, mut func(*rdma.Config)) (multiFingerprint, *dsm.Cluster) {
 	t.Helper()
 	d, err := NewDetector("vw-exact")
 	if err != nil {
@@ -34,9 +34,6 @@ func runFaulty(t *testing.T, w workload.Workload, sched *fault.Schedule,
 	}
 	if cfg.LocalityGroup == 0 {
 		cfg.LocalityGroup = w.LocalityGroup
-	}
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	c, err := dsm.New(cfg)
 	if err != nil {
@@ -173,20 +170,20 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 					}
 					auditPools(t, c, w.Name)
 				}
-				// The window-machinery sweep: one-lookahead synchronous
-				// windows and forced pipelining must replay the hostile
-				// schedule bit-identically too.
-				for _, mode := range windowModes {
-					got, c := runFaulty(t, w, sched, k, 5, nil, mode.opt)
+			}
+			// Both barrier regimes must replay the hostile schedule
+			// bit-identically too.
+			eachBarrierRegime(t, func(t *testing.T) {
+				for _, k := range []int{2, 4, 8} {
+					got, c := runFaulty(t, w, sched, k, 5, nil)
 					g, wnt := got, want
 					g.kernels, wnt.kernels = 0, 0
 					if g != wnt {
-						t.Fatalf("k=%d %s: faulty schedule not deterministic:\n got  %+v\n want %+v",
-							k, mode.name, g, wnt)
+						t.Fatalf("k=%d: faulty schedule not deterministic:\n got  %+v\n want %+v", k, g, wnt)
 					}
-					auditPools(t, c, w.Name+"/"+mode.name)
+					auditPools(t, c, w.Name)
 				}
-			}
+			})
 		})
 	}
 }

@@ -16,31 +16,23 @@ import (
 // probabilistic loss — must still reclaim every req, resp, op and clock into
 // the shard pool that owns it, at one kernel and at four.
 
-// runFaultyAudited runs the workload under the schedule at K ∈ {1, 4} —
-// and again at K=4 under each window-machinery mode (one-lookahead
-// synchronous windows, forced pipelining) — audits every pool shard after
-// each run, and checks every variant agrees with K=1 bit-for-bit.
+// runFaultyAudited runs the workload under the schedule at K=1 and, under
+// each barrier regime, at K=4; it audits every pool shard after each run
+// and checks every variant agrees with K=1 bit-for-bit.
 func runFaultyAudited(t *testing.T, w workload.Workload, sched *fault.Schedule,
 	seed int64, mut func(*rdma.Config)) {
 	t.Helper()
 	want, c := runFaulty(t, w, sched, 1, seed, mut)
 	auditPools(t, c, w.Name+"/k=1")
-	got, c := runFaulty(t, w, sched, 4, seed, mut)
-	auditPools(t, c, w.Name+"/k=4")
-	g, wnt := got, want
-	g.kernels, wnt.kernels = 0, 0
-	if g != wnt {
-		t.Fatalf("k=4 diverged from k=1:\n got  %+v\n want %+v", g, wnt)
-	}
-	for _, mode := range windowModes {
-		got, c := runFaulty(t, w, sched, 4, seed, mut, mode.opt)
-		auditPools(t, c, w.Name+"/k=4/"+mode.name)
-		g := got
-		g.kernels = 0
+	eachBarrierRegime(t, func(t *testing.T) {
+		got, c := runFaulty(t, w, sched, 4, seed, mut)
+		auditPools(t, c, w.Name+"/k=4")
+		g, wnt := got, want
+		g.kernels, wnt.kernels = 0, 0
 		if g != wnt {
-			t.Fatalf("k=4 %s diverged from k=1:\n got  %+v\n want %+v", mode.name, g, wnt)
+			t.Fatalf("k=4 diverged from k=1:\n got  %+v\n want %+v", g, wnt)
 		}
-	}
+	})
 }
 
 // TestFaultPoolCrashMidLockTenure crashes a node while the migratory lock is

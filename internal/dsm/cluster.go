@@ -44,21 +44,14 @@ type Config struct {
 	// kernel — recorded in Result.Kernels/KernelNote — when the run cannot
 	// be parallelised deterministically: serial-only programs, tracing or
 	// observers (both need the single kernel's apply order across nodes),
-	// or a latency model without a provable lookahead.
+	// or a latency model without a provable lookahead. The window and
+	// barrier machinery takes no settings: whether shards run on their own
+	// goroutines or inline follows GOMAXPROCS, and results never depend
+	// on it.
 	Kernels int
 	// Partition names the node→shard policy: "blocks" (locality-aware
 	// contiguous ranges, the default) or "round-robin".
 	Partition string
-	// WindowExtension caps adaptive window extension on a Kernels>1 run:
-	// 0 keeps the default cap, 1 disables extension (every window is one
-	// lookahead), larger values allow windows of up to that many
-	// lookahead-sized sub-rounds while no cross-shard traffic flows.
-	// Deterministic at any setting; fingerprints never depend on it.
-	WindowExtension int
-	// PipelinedReplay selects whether quiet-window barrier replays overlap
-	// the next window's execution: 0 auto (on whenever shard goroutines
-	// run), 1 forced on, -1 forced off. Deterministic at any setting.
-	PipelinedReplay int
 	// LocalityGroup hints the affinity-group size for the blocks policy:
 	// nodes [g*group, (g+1)*group) communicate mostly among themselves
 	// (e.g. MigratoryGroups rings), so blocks are sized to whole groups and
@@ -123,7 +116,7 @@ type Result struct {
 	KernelNote string
 	// WindowStats reports what the multi-kernel window/barrier machinery
 	// did (nil on a single-kernel run): windows, adaptive extensions,
-	// pipelined replays, merged records, and barrier-vs-window wall time.
+	// merged records, and barrier-vs-window wall time.
 	WindowStats *sim.MultiKernelStats
 	// StorageBytes is the detection metadata footprint (E-T1).
 	StorageBytes int
@@ -209,13 +202,10 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
+	if err := cfg.RDMA.Validate(cfg.Procs, cfg.Faults != nil); err != nil {
+		return nil, fmt.Errorf("dsm: %w", err)
+	}
 	if cfg.Faults != nil {
-		if cfg.RDMA.LegacyInitiator {
-			return nil, errors.New("dsm: Faults is not supported with RDMA.LegacyInitiator")
-		}
-		if cfg.RDMA.HomeSlotBatch {
-			return nil, errors.New("dsm: Faults is not supported with RDMA.HomeSlotBatch")
-		}
 		if err := cfg.Faults.Validate(cfg.Procs); err != nil {
 			return nil, fmt.Errorf("dsm: %w", err)
 		}
@@ -242,12 +232,6 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("dsm: %w", err)
 		}
 		c.mk = sim.NewMultiKernel(scfg, kcount, look)
-		if cfg.WindowExtension != 0 {
-			c.mk.SetAdaptiveWindow(cfg.WindowExtension)
-		}
-		if cfg.PipelinedReplay != 0 {
-			c.mk.SetPipelinedReplay(cfg.PipelinedReplay)
-		}
 		c.shardOf = sim.PartitionNodes(cfg.Procs, kcount, policy, cfg.LocalityGroup)
 		c.net = network.NewSharded(c.mk, c.shardOf, cfg.Procs, cfg.Latency, deferAll)
 	} else {

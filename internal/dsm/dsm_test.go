@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"dsmrace/internal/baseline"
 	"dsmrace/internal/coherence"
 	"dsmrace/internal/core"
+	"dsmrace/internal/fault"
 	"dsmrace/internal/memory"
 	"dsmrace/internal/rdma"
 	"dsmrace/internal/sim"
@@ -553,6 +555,69 @@ func TestRuntimePoolBalance(t *testing.T) {
 			}
 			if got := c.System().PoolBalance(); got != (rdma.PoolBalance{}) {
 				t.Errorf("pool balance after a clean runtime run = %+v, want all zero", got)
+			}
+		})
+	}
+}
+
+// TestIncompatibleOptionsAreErrors is the misconfiguration table: every
+// option pair rdma.Config.Validate rejects must come back from New as an
+// error — never as a panic from the layers below.
+func TestIncompatibleOptionsAreErrors(t *testing.T) {
+	coh := func(name string) coherence.Protocol {
+		p, err := coherence.FromName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		name   string
+		det    core.Detector
+		mutate func(*Config)
+	}{
+		{"literal+word", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.Protocol, c.RDMA.Granularity = rdma.ProtocolLiteral, rdma.GranularityWord
+		}},
+		{"literal+write-invalidate", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.Protocol, c.RDMA.Coherence = rdma.ProtocolLiteral, coh("write-invalidate")
+		}},
+		{"literal+causal", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.Protocol, c.RDMA.Coherence = rdma.ProtocolLiteral, coh("causal")
+		}},
+		{"literal+mesi", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.Protocol, c.RDMA.Coherence = rdma.ProtocolLiteral, coh("mesi")
+		}},
+		{"literal+lockset", baseline.NewLockset(), func(c *Config) { c.RDMA.Protocol = rdma.ProtocolLiteral }},
+		{"literal+epoch", baseline.NewEpoch(), func(c *Config) { c.RDMA.Protocol = rdma.ProtocolLiteral }},
+		{"legacy+causal", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.LegacyInitiator, c.RDMA.Coherence = true, coh("causal")
+		}},
+		{"legacy+mesi", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.LegacyInitiator, c.RDMA.Coherence = true, coh("mesi")
+		}},
+		{"batch+literal", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.HomeSlotBatch, c.RDMA.Protocol = true, rdma.ProtocolLiteral
+		}},
+		{"batch+write-invalidate", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.HomeSlotBatch, c.RDMA.Coherence = true, coh("write-invalidate")
+		}},
+		{"batch+no-locks", core.NewVWDetector(), func(c *Config) {
+			c.RDMA.HomeSlotBatch, c.RDMA.LocksEnabled = true, false
+		}},
+		{"faults+legacy", core.NewVWDetector(), func(c *Config) {
+			c.Faults, c.RDMA.LegacyInitiator = &fault.Schedule{}, true
+		}},
+		{"faults+batch", core.NewVWDetector(), func(c *Config) {
+			c.Faults, c.RDMA.HomeSlotBatch = &fault.Schedule{}, true
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Procs: 4, Seed: 1, RDMA: rdma.DefaultConfig(tc.det, nil)}
+			tc.mutate(&cfg)
+			if _, err := New(cfg); err == nil {
+				t.Fatal("New accepted an incompatible configuration")
 			}
 		})
 	}

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// DeterminismAnalyzer flags the three source shapes that smuggle host
+// DeterminismAnalyzer flags the four source shapes that smuggle host
 // nondeterminism into the deterministic core, where every executed
 // instruction feeds a bit-reproducible fingerprint:
 //
@@ -22,10 +22,14 @@ import (
 //   - range over a map: iteration order is randomised by the runtime.
 //     //dsmlint:ordered marks ranges proven order-insensitive (commutative
 //     fold, or results sorted before any fingerprint sees them).
+//   - environment reads (os.Getenv, os.LookupEnv, os.Environ): a mode the
+//     environment selects is a code path no caller, test or benchmark chose
+//     and no differential suite knows to sweep. There is no annotation
+//     escape; take the value as a parameter.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc: "flag wall-clock reads, global math/rand draws, and unordered map ranges " +
-		"inside the deterministic core",
+	Doc: "flag wall-clock reads, global math/rand draws, unordered map ranges " +
+		"and environment reads inside the deterministic core",
 	Run: runDeterminism,
 }
 
@@ -88,6 +92,11 @@ func (p *Pass) checkDeterminismCall(call *ast.CallExpr) {
 		}
 		p.Reportf(call.Pos(), "global RNG: %s.%s draws the process-global source inside the deterministic core; "+
 			"draw the kernel's seeded RNG (sim.Kernel.Rand) instead", pkgPath, name)
+	case "os":
+		if name == "Getenv" || name == "LookupEnv" || name == "Environ" {
+			p.Reportf(call.Pos(), "environment: os.%s steers the deterministic core from outside the program; "+
+				"take the value as a parameter instead", name)
+		}
 	}
 }
 

@@ -10,8 +10,9 @@
 // # Passes
 //
 //   - determinism: flags wall-clock reads (time.Now, time.Since),
-//     package-level math/rand draws, and un-annotated `range` over maps
-//     inside the deterministic core — the packages whose every executed
+//     package-level math/rand draws, un-annotated `range` over maps and
+//     environment reads (os.Getenv, os.LookupEnv, os.Environ) inside the
+//     deterministic core — the packages whose every executed
 //     instruction feeds a bit-reproducible fingerprint (CorePackages:
 //     internal/sim, internal/rdma, internal/coherence, internal/network,
 //     internal/core, internal/fault, internal/mcheck).

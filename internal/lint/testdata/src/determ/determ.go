@@ -1,14 +1,15 @@
 // Package determ is a dsmlint fixture: a miniature deterministic core
 // seeded with the exact mutants the determinism pass exists to catch —
-// an unsorted map-range fingerprint fold, wall-clock reads, and a draw
-// from the process-global RNG — next to their annotated/rewritten twins
-// that must stay silent.
+// an unsorted map-range fingerprint fold, wall-clock reads, a draw from
+// the process-global RNG, and environment-steered modes — next to their
+// annotated/rewritten twins that must stay silent.
 //
 //dsmlint:core
 package determ
 
 import (
 	"math/rand"
+	"os"
 	"time"
 )
 
@@ -56,6 +57,26 @@ func jitter() int {
 func seeded() int {
 	r := rand.New(rand.NewSource(1))
 	return r.Intn(8)
+}
+
+// barrierMode is the env-steered mode mutant: a code path selected from
+// outside the program, invisible to every caller and test.
+func barrierMode() bool {
+	return os.Getenv("DETERM_BARRIER") == "spin" // want `environment: os.Getenv steers the deterministic core`
+}
+
+func extensionCap() (string, bool) {
+	return os.LookupEnv("DETERM_EXT") // want `environment: os.LookupEnv steers the deterministic core`
+}
+
+func knobs() int {
+	return len(os.Environ()) // want `environment: os.Environ steers the deterministic core`
+}
+
+// hostname reads the os package without touching the environment.
+func hostname() string {
+	h, _ := os.Hostname()
+	return h
 }
 
 // sliceRange must not be confused with a map range.

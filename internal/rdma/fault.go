@@ -43,11 +43,8 @@ const lostErr = "\x00lost"
 // release), and the injector's recovery hooks are pointed at the crash sweep
 // and the failover tables. Call before Injector.Arm and before any traffic.
 func (s *System) EnableFaults(inj *fault.Injector) {
-	if s.cfg.LegacyInitiator {
-		panic("rdma: fault injection is not supported with LegacyInitiator")
-	}
-	if s.cfg.HomeSlotBatch {
-		panic("rdma: fault injection is not supported with HomeSlotBatch")
+	if err := s.cfg.Validate(s.space.N(), true); err != nil {
+		panic(err)
 	}
 	s.inj = inj
 	s.faultOn = true

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"errors"
 	"fmt"
 
 	"dsmrace/internal/coherence"
@@ -149,6 +150,47 @@ func DefaultConfig(det core.Detector, col *core.Collector) Config {
 		NICDelay:         200 * sim.Nanosecond,
 		MemPerWord:       2 * sim.Nanosecond,
 	}
+}
+
+// Validate reports the first incompatible option pair in c for a cluster of
+// the given node count, with or without a fault schedule. It is the single
+// home of the option-compatibility rules: dsm.New returns its error, and
+// NewSystem/EnableFaults panic with it for callers that skipped the check.
+func (c Config) Validate(nodes int, faults bool) error {
+	literal := c.Protocol == ProtocolLiteral
+	caches, kind := false, coherence.WriteUpdate
+	if c.Coherence != nil {
+		caches, kind = c.Coherence.CachesRemoteReads(), c.Coherence.Kind()
+	}
+	switch {
+	case literal && c.Granularity == GranularityWord:
+		return errors.New("rdma: word granularity requires the piggyback protocol")
+	case literal && caches:
+		return errors.New("rdma: the literal protocol supports write-update coherence only")
+	case c.LegacyInitiator && (kind == coherence.Causal || kind == coherence.MESI):
+		// The legacy parked path predates versioned installs, silent writes
+		// and recall routing; it exists only to differentially test the CPS
+		// path on the original protocols.
+		return errors.New("rdma: LegacyInitiator supports write-update and write-invalidate coherence only")
+	case c.HomeSlotBatch && (literal || caches || !c.LocksEnabled):
+		return errors.New("rdma: HomeSlotBatch requires the piggyback protocol, write-update coherence and locks enabled")
+	case faults && c.LegacyInitiator:
+		return errors.New("rdma: fault injection is not supported with LegacyInitiator")
+	case faults && c.HomeSlotBatch:
+		return errors.New("rdma: fault injection is not supported with HomeSlotBatch")
+	}
+	if literal && c.Detector != nil {
+		// Algorithms 1–2 fetch and write back the stored clocks; a detector
+		// without clock access cannot serve get_clock/put_clock. Reject the
+		// combination up front — the two initiator paths would otherwise
+		// fail in different ways mid-run (the parked path ignored clock-read
+		// errors and tripped over nil clocks later; the CPS path would fail
+		// the operation at the first hop).
+		if _, ok := c.Detector.NewAreaState(nodes).(core.ClockAccessor); !ok {
+			return errors.New("rdma: the literal protocol requires a clock-based detector")
+		}
+	}
+	return nil
 }
 
 // chanKey identifies a logical clock channel (one direction of one
@@ -547,36 +589,11 @@ func NewSystem(net *network.Network, space *memory.Space, cfg Config) *System {
 	if cfg.Detector != nil && cfg.Collector == nil {
 		cfg.Collector = &core.Collector{}
 	}
-	if cfg.Granularity == GranularityWord && cfg.Protocol == ProtocolLiteral {
-		panic("rdma: the literal protocol does not support word granularity")
+	if err := cfg.Validate(space.N(), false); err != nil {
+		panic(err)
 	}
 	if cfg.Coherence == nil {
 		cfg.Coherence = coherence.NewWriteUpdate()
-	}
-	if cfg.Coherence.CachesRemoteReads() && cfg.Protocol == ProtocolLiteral {
-		panic("rdma: the literal protocol supports write-update coherence only")
-	}
-	if k := cfg.Coherence.Kind(); cfg.LegacyInitiator && (k == coherence.Causal || k == coherence.MESI) {
-		// The legacy parked path predates versioned installs, silent writes
-		// and recall routing; it exists only to differentially test the CPS
-		// path on the original protocols.
-		panic("rdma: LegacyInitiator supports write-update and write-invalidate coherence only")
-	}
-	if cfg.Protocol == ProtocolLiteral && cfg.Detector != nil {
-		// Algorithms 1–2 fetch and write back the stored clocks; a detector
-		// without clock access cannot serve get_clock/put_clock. Reject the
-		// combination up front — the two initiator paths would otherwise
-		// fail in different ways mid-run (the parked path ignored clock-read
-		// errors and tripped over nil clocks later; the CPS path would fail
-		// the operation at the first hop).
-		if _, ok := cfg.Detector.NewAreaState(space.N()).(core.ClockAccessor); !ok {
-			panic("rdma: the literal protocol requires a clock-based detector")
-		}
-	}
-	if cfg.HomeSlotBatch {
-		if cfg.Protocol != ProtocolPiggyback || cfg.Coherence.CachesRemoteReads() || !cfg.LocksEnabled {
-			panic("rdma: HomeSlotBatch requires the piggyback protocol, write-update coherence and locks enabled")
-		}
 	}
 	s := &System{cfg: cfg, net: net, space: space, states: make(map[int]core.AreaState)}
 	s.multi = net.Multi() != nil

@@ -41,18 +41,17 @@
 // say so (the draw panics otherwise). PartitionNodes (partition.go)
 // supplies the round-robin and locality-aware node→shard policies.
 //
-// Three optimisations cut the window/barrier overhead without touching the
+// Two optimisations cut the window/barrier overhead without touching the
 // equivalence: adaptive window extension runs a window as up to a budget of
 // lookahead-sized sub-rounds while no cross-shard envelope or ordered
 // action appears (the budget doubles after quiet windows and resets on
 // traffic — a pure function of replayed state, so placement is
-// deterministic); pipelined replay overlaps a quiet window's key-assigning
-// replay with the next window's execution through double-buffered logs and
-// barrier-applied resolutions; and the replay merge itself is a loser tree
-// with per-shard run detection, O(log K) per record worst case and O(1) on
-// runs. On a single-core host an inline barrier mode drives the shards from
-// the coordinator with no goroutine hand-offs at all. MultiKernelStats
-// counts what fired; SetAdaptiveWindow/SetPipelinedReplay (and the
-// DSMRACE_MK_EXT/DSMRACE_MK_PIPELINE/DSMRACE_MK_BARRIER environment
-// overrides) select the machinery, with every combination bit-identical.
+// deterministic); and the one synchronous replay that ends each window
+// merges through a loser tree with per-shard run detection, O(log K) per
+// record worst case and O(1) on runs. Nothing here is configurable. The
+// only choice — how a sub-round reaches the shards — is read from the host:
+// with GOMAXPROCS > 1 runner goroutines are released through a spin
+// barrier, with GOMAXPROCS == 1 the coordinator drives the shards inline
+// with no goroutine hand-offs at all; results are bit-identical either
+// way. MultiKernelStats counts what fired.
 package sim

@@ -3,16 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
-
-// gosched is runtime.Gosched, indirected for clarity at the spin sites.
-var gosched = runtime.Gosched
 
 // defaultExtensionCap bounds adaptive window extension: a window grows to at
 // most this many lookahead-sized sub-rounds. The cap bounds log memory and
@@ -32,8 +27,8 @@ type MultiKernelStats struct {
 	// Extensions counts sub-rounds beyond each window's first — the barrier
 	// round trips adaptive extension eliminated.
 	Extensions uint64
-	// PipelinedReplays counts window replays that ran overlapped with the
-	// next window's execution instead of stopping the world.
+	// PipelinedReplays is always zero: pipelined replay was removed, and the
+	// field survives only because benchmark/layers.go still reads it.
 	PipelinedReplays uint64
 	// ReplayRecords is the total execution records the barrier replays
 	// merged across shards.
@@ -41,9 +36,9 @@ type MultiKernelStats struct {
 	// EnvelopesFiled is the number of deferred cross-shard/latency-drawing
 	// sends filed by barrier replays.
 	EnvelopesFiled uint64
-	// WindowNs is wall time spent with shards released into a sub-round
-	// (including any replay overlapped with it); BarrierNs is wall time in
-	// the serial coordinator phases between releases.
+	// WindowNs is wall time spent with shards released into a sub-round;
+	// BarrierNs is wall time in the serial coordinator phases between
+	// releases.
 	WindowNs  int64
 	BarrierNs int64
 }
@@ -81,31 +76,24 @@ type MultiKernelStats struct {
 //     window. Runs that need such draws must declare themselves serial-only
 //     and run on a single kernel (see dsm.Config.SerialOnly).
 //
-// Two optimisations preserve that equivalence while cutting barrier cost
-// (see ARCHITECTURE.md, "Adaptive windows & pipelined replay"):
-//
-// Adaptive window extension runs a window as up to budget lookahead-sized
-// sub-rounds in lockstep, with only a cheap placement scan between them and
-// one barrier replay at the end. A sub-round that logs any envelope ends
-// the window immediately — the envelope's arrival lies at or beyond the
-// next sub-round's start, so it must be filed first — which makes the
-// extension sound: a window is extended only through traffic-free regions,
-// where the per-sub-round replays it elides would have been empty anyway.
+// One optimisation preserves that equivalence while cutting barrier cost
+// (see ARCHITECTURE.md, "Adaptive windows"): adaptive window extension runs
+// a window as up to budget lookahead-sized sub-rounds in lockstep, with only
+// a cheap placement scan between them and one barrier replay at the end. A
+// sub-round that logs any envelope ends the window immediately — the
+// envelope's arrival lies at or beyond the next sub-round's start, so it
+// must be filed first — which makes the extension sound: a window is
+// extended only through traffic-free regions, where the per-sub-round
+// replays it elides would have been empty anyway.
 // The budget doubles after each envelope-free window (up to a cap) and
 // resets to one on any envelope: a pure function of replayed state, so the
 // window placement — and with it every fingerprint — is reproducible.
 //
-// Pipelined replay overlaps the serial replay of a window that filed no
-// envelopes and logged no ordered actions with the next window's execution:
-// the coordinator takes the window's log buffers (the shards log the next
-// window into spares), merges them concurrently, and buffers the key
-// resolutions of still-queued events instead of writing them — the events'
-// structs are concurrently live. The resolutions are applied at the next
-// barrier, before anything can reference them: queued events get their true
-// keys before the next replay files envelopes against them, and events that
-// executed meanwhile are patched through the lateExec ledger their shard
-// kept. Such a replay only assigns keys — no RNG, no filing, no actions —
-// so overlapping it changes no observable order.
+// There is exactly one way to run a window and nothing to configure. How a
+// sub-round reaches the shards is read from the host at construction: with
+// GOMAXPROCS > 1 one runner goroutine per shard is released through a spin
+// barrier; with GOMAXPROCS == 1 the coordinator drives the shards itself.
+// The choice affects speed only, never results.
 type MultiKernel struct {
 	cfg    Config
 	window Time
@@ -113,9 +101,7 @@ type MultiKernel struct {
 	rng    *rand.Rand
 	// inWindow guards the shared RNG: set while shard goroutines execute.
 	inWindow atomic.Bool
-	// gseq is the global sequence counter; serial phases only (the
-	// pipelined replay runs on the coordinator goroutine and is the only
-	// writer while shards execute).
+	// gseq is the global sequence counter; serial phases only.
 	gseq uint64
 	// filer receives deferred-send envelopes with their resolved keys during
 	// the barrier replay (registered by the network layer).
@@ -137,28 +123,15 @@ type MultiKernel struct {
 	epoch     atomic.Uint64
 	doneCount atomic.Int64
 	quit      bool // read by runners after an epoch bump (hb via epoch)
-	// spin selects the spinning barrier (GOMAXPROCS > 1). inline goes
-	// further for the single-core case: the coordinator drives every active
-	// shard's sub-round itself, in shard order, with no runner goroutines
-	// and no hand-offs at all — on one core nothing runs concurrently
-	// anyway, and the choice affects speed only, never results.
-	spin    bool
-	inline  bool
-	startCh []chan struct{}
-	doneCh  chan struct{}
-	nrel    int // chan mode: releases outstanding in the current sub-round
-	started bool
+	// inline is the single-core regime (GOMAXPROCS == 1): the coordinator
+	// drives every active shard's sub-round itself, in shard order, with no
+	// runner goroutines and no hand-offs at all — on one core nothing runs
+	// concurrently anyway. Otherwise the spin barrier above is used.
+	inline bool
 	// extCap caps adaptive window extension (sub-rounds per window); budget
 	// is the current window's allowance under the doubling rule.
 	extCap int
 	budget int
-	// pipeMode selects pipelined replay: 0 auto (on unless inline), 1
-	// forced on, -1 forced off.
-	pipeMode int
-	// winTag tags the current window's provisional keys; bumped when a
-	// window's replay is pipelined (two windows' keys then coexist), reset
-	// to zero by every synchronous replay.
-	winTag uint32
 	// active flags the shards released into the current sub-round (a shard
 	// with no event below the horizon skips the whole round trip — on a
 	// serialized workload most rounds touch one shard); bounds caches the
@@ -168,9 +141,6 @@ type MultiKernel struct {
 	active []bool
 	bounds []Time
 	joined []bool
-	// pending is the stashed previous window awaiting its pipelined replay
-	// and the barrier apply of its buffered key resolutions.
-	pending pendingWindow
 	// lanes/ltree/lwin are the replay merge's loser-tree scratch.
 	lanes []mergeLane
 	ltree []int32
@@ -180,37 +150,22 @@ type MultiKernel struct {
 	runErr error
 }
 
-// pendingWindow is a window whose logs were taken for a pipelined replay.
-type pendingWindow struct {
-	live     bool
-	replayed bool
-	logs     []windowLogs
-	joined   []bool
-	// res buffers, per shard and push index, the true key of every push
-	// whose event was still queued when the replay ran; applied at the next
-	// barrier.
-	res [][]uint64
-}
-
 // mergeLane is one shard's record stream in a barrier replay, with its head
 // record's (at, key) snapshot. The snapshot is stable: a record's key is
 // always resolved by the time it becomes the lane head (its pusher sits
 // earlier in the same shard's log).
 type mergeLane struct {
-	logs  *windowLogs
-	shard int
-	pos   int
-	at    Time
-	key   uint64
-	done  bool
+	logs *windowLogs
+	pos  int
+	at   Time
+	key  uint64
+	done bool
 }
 
 // NewMultiKernel creates a multi-kernel of k shards sharing cfg's seed and
 // limits, advancing in conservative windows of the given lookahead (must be
 // positive). Each shard is a full Kernel; spawn processes on the shard that
-// owns their node, then call Run. Adaptive extension and pipelined replay
-// default on (see SetAdaptiveWindow, SetPipelinedReplay; A/B-testable via
-// DSMRACE_MK_EXT and DSMRACE_MK_PIPELINE=on|off).
+// owns their node, then call Run.
 func NewMultiKernel(cfg Config, k int, lookahead Time) *MultiKernel {
 	if k < 1 {
 		panic("sim: MultiKernel needs at least one shard")
@@ -221,7 +176,6 @@ func NewMultiKernel(cfg Config, k int, lookahead Time) *MultiKernel {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 50_000_000
 	}
-	spin, inline := barrierMode()
 	m := &MultiKernel{
 		cfg:    cfg,
 		window: lookahead,
@@ -232,47 +186,16 @@ func NewMultiKernel(cfg Config, k int, lookahead Time) *MultiKernel {
 		lanes:  make([]mergeLane, 0, k),
 		ltree:  make([]int32, k),
 		lwin:   make([]int32, k),
-		spin:   spin,
-		inline: inline,
+		inline: runtime.GOMAXPROCS(0) == 1,
 		extCap: defaultExtensionCap,
 		budget: 1,
-		doneCh: make(chan struct{}, k),
-	}
-	if v := os.Getenv("DSMRACE_MK_EXT"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			m.extCap = n
-		}
-	}
-	switch os.Getenv("DSMRACE_MK_PIPELINE") {
-	case "on":
-		m.pipeMode = 1
-	case "off":
-		m.pipeMode = -1
 	}
 	for i := 0; i < k; i++ {
 		s := NewKernel(cfg)
 		s.mk, s.shard = m, i
 		m.shards = append(m.shards, s)
-		m.startCh = append(m.startCh, make(chan struct{}))
 	}
 	return m
-}
-
-// barrierMode selects the sub-round barrier flavour (override for A/B tests
-// via DSMRACE_MK_BARRIER=spin|chan|inline).
-func barrierMode() (spin, inline bool) {
-	switch os.Getenv("DSMRACE_MK_BARRIER") {
-	case "spin":
-		return true, false
-	case "chan":
-		return false, false
-	case "inline":
-		return false, true
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		return true, false
-	}
-	return false, true
 }
 
 // spinWait spins until cond holds, yielding the processor between probes so
@@ -280,36 +203,9 @@ func barrierMode() (spin, inline bool) {
 func spinWait(cond func() bool) {
 	for i := 0; !cond(); i++ {
 		if i&63 == 63 {
-			gosched()
+			runtime.Gosched()
 		}
 	}
-}
-
-// SetAdaptiveWindow caps adaptive window extension at cap lookahead-sized
-// sub-rounds per window: 0 restores the default cap, 1 disables extension
-// (every window is one lookahead — the pre-adaptive behaviour), larger
-// values trade barrier round trips against log memory and MaxEvents
-// overshoot. Call before Run; overrides DSMRACE_MK_EXT.
-func (m *MultiKernel) SetAdaptiveWindow(cap int) {
-	switch {
-	case cap <= 0:
-		m.extCap = defaultExtensionCap
-	default:
-		m.extCap = cap
-	}
-}
-
-// SetPipelinedReplay selects whether an envelope-free, action-free window's
-// replay may overlap the next window's execution: 0 auto (on unless the
-// inline single-core barrier is active, where there is nothing to overlap
-// with), 1 forces it on (the replay then simply runs before the next
-// sub-round — same machinery, no concurrency), -1 forces it off. Call
-// before Run; overrides DSMRACE_MK_PIPELINE.
-func (m *MultiKernel) SetPipelinedReplay(mode int) {
-	if mode < -1 || mode > 1 {
-		panic("sim: SetPipelinedReplay mode must be -1, 0 or 1")
-	}
-	m.pipeMode = mode
 }
 
 // Stats returns the run's window/barrier counters.
@@ -380,40 +276,37 @@ func (m *MultiKernel) Stop() {
 	}
 }
 
-// runners lazily starts one goroutine per shard; each executes sub-rounds
-// on demand. Observing the epoch bump publishes everything the barrier
-// wrote (other shards' window effects included) to the shard; the done
-// increment publishes the shard's sub-round back to the barrier. The inline
-// barrier mode never starts them.
-func (m *MultiKernel) runners() {
-	if m.started {
-		return
+// stopped reports whether any shard was stopped (Stop, or Kernel.Stop from
+// inside a window).
+func (m *MultiKernel) stopped() bool {
+	for _, s := range m.shards {
+		if s.stopped {
+			return true
+		}
 	}
-	m.started = true
+	return false
+}
+
+// runners starts one goroutine per shard; each executes sub-rounds on
+// demand until Run releases it for good. Observing the epoch bump publishes
+// everything the barrier wrote (other shards' window effects included) to
+// the shard; the done increment publishes the shard's sub-round back to the
+// barrier. The inline regime never starts them.
+func (m *MultiKernel) runners() {
 	for i := range m.shards {
 		go func(i int) {
 			s := m.shards[i]
 			last := uint64(0)
 			for {
-				if m.spin {
-					spinWait(func() bool { return m.epoch.Load() != last })
-					last = m.epoch.Load()
-				} else if _, ok := <-m.startCh[i]; !ok {
-					return
-				}
+				spinWait(func() bool { return m.epoch.Load() != last })
+				last = m.epoch.Load()
 				if m.quit {
 					return
 				}
-				if !m.active[i] {
-					m.doneCount.Add(1) // spin mode only: idle ack
-					continue
+				if m.active[i] {
+					s.runWindow()
 				}
-				s.runWindow()
-				if m.spin {
-					m.doneCount.Add(1)
-				} else {
-					m.doneCh <- struct{}{}
-				}
+				m.doneCount.Add(1) // every runner acks, idle ones at once
 			}
 		}(i)
 	}
@@ -425,7 +318,8 @@ func (m *MultiKernel) runners() {
 // event still parked in a high wheel bucket), in which case the sub-round
 // comes up empty and the next round's refined bound moves it forward —
 // never backward, and never past a time the barrier could still file into.
-// One placement pass serves both the window decision and the release.
+// One placement pass serves both the window decision and the release; it
+// returns the sub-round's (exclusive) horizon.
 func (m *MultiKernel) place() (Time, bool) {
 	var begin Time
 	any := false
@@ -446,33 +340,14 @@ func (m *MultiKernel) place() (Time, bool) {
 	for i := range m.shards {
 		m.active[i] = m.active[i] && m.bounds[i] < horizon
 	}
-	return begin, true
+	return horizon, true
 }
 
-// release starts one sub-round on every active shard; await waits for it to
-// finish (and, in the inline mode, is the sub-round: the coordinator drives
-// each active shard in shard order itself). The split exists so a pipelined
-// replay can run between the two.
-func (m *MultiKernel) release() {
-	if m.inline {
-		return
-	}
-	if m.spin {
-		// Spin mode wakes every runner; inactive ones ack immediately.
-		m.doneCount.Store(0)
-		m.epoch.Add(1)
-		return
-	}
-	m.nrel = 0
-	for i := range m.startCh {
-		if m.active[i] {
-			m.startCh[i] <- struct{}{}
-			m.nrel++
-		}
-	}
-}
-
-func (m *MultiKernel) await() {
+// subRound runs one sub-round on every active shard and returns when all
+// have reached the horizon: inline, the coordinator drives each active shard
+// in shard order itself; otherwise the epoch bump wakes every runner and the
+// coordinator spins until all have acked.
+func (m *MultiKernel) subRound() {
 	if m.inline {
 		for i, s := range m.shards {
 			if m.active[i] {
@@ -481,14 +356,10 @@ func (m *MultiKernel) await() {
 		}
 		return
 	}
-	if m.spin {
-		want := int64(len(m.shards))
-		spinWait(func() bool { return m.doneCount.Load() == want })
-		return
-	}
-	for ; m.nrel > 0; m.nrel-- {
-		<-m.doneCh
-	}
+	m.doneCount.Store(0)
+	m.epoch.Add(1)
+	want := int64(len(m.shards))
+	spinWait(func() bool { return m.doneCount.Load() == want })
 }
 
 // Run executes the simulation to completion: windows in parallel, barriers
@@ -498,7 +369,6 @@ func (m *MultiKernel) await() {
 // check), and a MaxTime/Stop/panic in one shard lets other shards finish
 // the current sub-round before the run stops. Clean runs are bit-identical.
 func (m *MultiKernel) Run() error {
-	pipe := m.pipeMode == 1 || (m.pipeMode == 0 && !m.inline)
 	if !m.inline {
 		m.runners()
 	}
@@ -511,24 +381,12 @@ func (m *MultiKernel) Run() error {
 		mark = now
 	}
 	defer func() {
-		// A window stashed right before the run ended still owes its replay
-		// (for deterministic counters) and its key resolutions.
-		m.applyPending()
 		for _, fn := range m.hooks {
 			fn()
 		}
 		tick(&m.stats.BarrierNs)
 	}()
-	for {
-		stopped := false
-		for _, s := range m.shards {
-			if s.stopped {
-				stopped = true
-			}
-		}
-		if stopped {
-			break
-		}
+	for !m.stopped() {
 		// One window: up to budget lookahead-sized sub-rounds in lockstep,
 		// with only a placement pass between rounds and one barrier replay
 		// at the end. Any envelope ends the window at that sub-round — its
@@ -536,21 +394,18 @@ func (m *MultiKernel) Run() error {
 		// filed first — and so does any ordered action, which must run
 		// before later events can observe its effects. Errors, stops and
 		// the event cap end the window likewise.
-		opened := false
-		envs, acts := 0, 0
-		errd := false
+		opened, quiet := false, true
 		for sub := 0; sub < m.budget; sub++ {
-			begin, any := m.place()
+			horizon, any := m.place()
 			if !any {
 				break
 			}
-			horizon := begin + m.window
 			for i, s := range m.shards {
 				if !m.active[i] {
 					continue
 				}
 				if !m.joined[i] {
-					s.beginWindow(horizon, m.winTag)
+					s.beginWindow(horizon)
 					m.joined[i] = true
 				} else {
 					s.extendWindow(horizon)
@@ -563,25 +418,16 @@ func (m *MultiKernel) Run() error {
 			}
 			tick(&m.stats.BarrierNs)
 			m.inWindow.Store(true)
-			m.release()
-			if m.pending.live && !m.pending.replayed {
-				m.replayPending() // overlapped with the sub-round's execution
-			}
-			m.await()
+			m.subRound()
 			m.inWindow.Store(false)
 			tick(&m.stats.WindowNs)
-			envs, acts = 0, 0
 			for i, s := range m.shards {
-				if !m.joined[i] {
-					continue
-				}
-				envs += s.envs
-				acts += len(s.actions)
-				if s.runErr != nil || s.runPanic != nil || s.stopped {
-					errd = true
+				if m.joined[i] && (s.envs > 0 || len(s.actions) > 0 ||
+					s.runErr != nil || s.runPanic != nil || s.stopped) {
+					quiet = false
 				}
 			}
-			if envs > 0 || acts > 0 || errd || m.Events() > m.cfg.MaxEvents {
+			if !quiet || m.Events() > m.cfg.MaxEvents {
 				break
 			}
 		}
@@ -594,24 +440,11 @@ func (m *MultiKernel) Run() error {
 				s.endWindow()
 			}
 		}
-		// The previous pipelined window's key resolutions land before this
-		// window's replay can file anything against the affected events.
-		m.applyPending()
-		if pipe && envs == 0 && acts == 0 && !errd && m.winTag < provTagMax {
-			// Nothing in this window's replay is observable — no envelopes,
-			// no actions, no RNG — so it only assigns keys: overlap it with
-			// the next window and apply the resolutions at the next barrier.
-			m.stash()
-		} else {
-			m.replay()
-			m.winTag = 0 // every provisional key is resolved again
-			// The replay may have rewritten queued events' keys in place or
-			// filed deliveries into any shard; drop every cached wheel peek.
-			for _, s := range m.shards {
-				s.queue.invalidatePeek()
-			}
-		}
-		for i := range m.joined {
+		m.replay()
+		// The replay may have rewritten queued events' keys in place or
+		// filed deliveries into any shard; drop every cached wheel peek.
+		for i, s := range m.shards {
+			s.queue.invalidatePeek()
 			m.joined[i] = false
 		}
 		for _, fn := range m.hooks {
@@ -622,7 +455,7 @@ func (m *MultiKernel) Run() error {
 		// cross-shard traffic resets it. A pure function of replayed state,
 		// so window placement — and with it every fingerprint — is
 		// reproducible.
-		if envs == 0 && acts == 0 && !errd {
+		if quiet {
 			m.budget *= 2
 			if m.budget > m.extCap {
 				m.budget = m.extCap
@@ -641,137 +474,40 @@ func (m *MultiKernel) Run() error {
 	// Release the shard runner goroutines for good.
 	if !m.inline {
 		m.quit = true
-		if m.spin {
-			m.epoch.Add(1)
-		} else {
-			for i := range m.startCh {
-				close(m.startCh[i])
-			}
-		}
+		m.epoch.Add(1)
 	}
 	return m.finish()
 }
 
-// stash takes the just-finished window's log buffers for a pipelined
-// replay: the shards log the next window into their spares while the
-// coordinator merges these.
-func (m *MultiKernel) stash() {
-	p := &m.pending
-	p.live, p.replayed = true, false
-	if p.logs == nil {
-		p.logs = make([]windowLogs, len(m.shards))
-		p.joined = make([]bool, len(m.shards))
-		p.res = make([][]uint64, len(m.shards))
-	}
-	copy(p.joined, m.joined)
-	for i, s := range m.shards {
-		if !m.joined[i] {
-			p.logs[i] = windowLogs{}
-			continue
-		}
-		p.logs[i] = s.takeWindow()
-		n := len(p.logs[i].pushLog)
-		if cap(p.res[i]) < n {
-			p.res[i] = make([]uint64, n)
-		}
-		p.res[i] = p.res[i][:n]
-	}
-	m.winTag++ // the stashed window's keys coexist with the next window's
-}
-
-// replayPending merges the stashed window's logs, buffering the key
-// resolutions of still-queued events into pending.res (their structs are
-// concurrently live when the merge overlaps the next window). By the stash
-// preconditions there are no envelopes to file and no actions to run.
-func (m *MultiKernel) replayPending() {
-	m.beginLanes()
-	for i := range m.shards {
-		if m.pending.joined[i] {
-			m.addLane(i, &m.pending.logs[i])
-		}
-	}
-	m.mergeLanes(m.pending.res)
-	m.pending.replayed = true
-	m.stats.PipelinedReplays++
-}
-
-// applyPending lands a pipelined window's buffered key resolutions at a
-// barrier (shards quiescent): still-queued events get their true keys
-// rewritten in place, and events that executed during the overlapped window
-// are patched through their shard's lateExec ledger — the record key in the
-// *current* window's log is resolved and the recycled struct left alone.
-func (m *MultiKernel) applyPending() {
-	p := &m.pending
-	if !p.live {
-		return
-	}
-	if !p.replayed {
-		m.replayPending()
-	}
-	for i, s := range m.shards {
-		if !p.joined[i] {
-			continue
-		}
-		logs := &p.logs[i]
-		res := p.res[i]
-		for _, le := range s.lateExec {
-			if le.rec >= 0 {
-				s.execLog[le.rec].key = res[le.idx]
-			}
-			logs.provState[le.idx] = provExecuted // consumed; struct recycled
-		}
-		s.lateExec = s.lateExec[:0]
-		for idx, st := range logs.provState {
-			if st == provPending {
-				logs.pushLog[idx].e.seq = res[idx]
-			}
-		}
-		s.returnWindow(p.logs[i])
-		p.logs[i] = windowLogs{}
-		// The e.seq rewrites touched queued events in place.
-		s.queue.invalidatePeek()
-	}
-	p.live = false
-}
-
-// replay is the synchronous serial window barrier: merge the joined shards'
-// execution records in exact (time, key) order and, walking that order,
-// assign every logged push its true global key — rewriting still-queued
-// events in place, resolving in-window-executed records, and filing
-// deferred-send envelopes (which draw any latency randomness here, in
-// serial order) — then run the ordered actions.
+// replay is the serial window barrier: merge the joined shards' execution
+// records in exact (time, key) order and, walking that order, assign every
+// logged push its true global key — rewriting still-queued events in place,
+// resolving in-window-executed records, and filing deferred-send envelopes
+// (which draw any latency randomness here, in serial order) — and run the
+// ordered actions.
 func (m *MultiKernel) replay() {
-	m.beginLanes()
+	m.lanes = m.lanes[:0]
 	for i, s := range m.shards {
-		if m.joined[i] {
-			m.addLane(i, &s.windowLogs)
+		if !m.joined[i] || len(s.execLog) == 0 {
+			continue
 		}
+		rec := &s.execLog[0]
+		// A provisional key at a lane head is impossible: the pusher of an
+		// in-window event sits earlier in the same shard's log and resolved it
+		// when its own record was processed. That is also why lane-head
+		// snapshots are stable while a record waits in the loser tree.
+		if rec.key&provBit != 0 {
+			panic("sim: unresolved provisional key at merge head")
+		}
+		m.lanes = append(m.lanes, mergeLane{logs: &s.windowLogs, at: rec.at, key: rec.key})
 	}
-	m.mergeLanes(nil)
-}
-
-// beginLanes/addLane assemble the merge lanes for one replay.
-func (m *MultiKernel) beginLanes() { m.lanes = m.lanes[:0] }
-
-func (m *MultiKernel) addLane(shard int, logs *windowLogs) {
-	if len(logs.execLog) == 0 {
-		return
-	}
-	rec := &logs.execLog[0]
-	// A provisional key at a lane head is impossible: the pusher of an
-	// in-window event sits earlier in the same shard's log and resolved it
-	// when its own record was processed. That is also why lane-head
-	// snapshots are stable while a record waits in the loser tree.
-	if rec.key&provBit != 0 {
-		panic("sim: unresolved provisional key at merge head")
-	}
-	m.lanes = append(m.lanes, mergeLane{logs: logs, shard: shard, at: rec.at, key: rec.key})
+	m.mergeLanes()
 }
 
 // processRec replays one record: assign true keys to its pushes (filing
-// envelopes, resolving records, rewriting or buffering queued events) and,
-// in synchronous mode, run its ordered actions.
-func (m *MultiKernel) processRec(l *mergeLane, res [][]uint64) {
+// envelopes, resolving records, rewriting queued events) and run its
+// ordered actions.
+func (m *MultiKernel) processRec(l *mergeLane) {
 	logs := l.logs
 	rec := &logs.execLog[l.pos]
 	for i := rec.pushLo; i < rec.pushHi; i++ {
@@ -784,11 +520,7 @@ func (m *MultiKernel) processRec(l *mergeLane, res [][]uint64) {
 		}
 		switch st := logs.provState[i]; st {
 		case provPending:
-			if res != nil {
-				res[l.shard][i] = key // event struct is concurrently live
-			} else {
-				pe.e.seq = key // still queued in the shard's wheel
-			}
+			pe.e.seq = key // still queued in the shard's wheel
 		case provExecuted:
 			// Ran inside the window without pushing anything: the key is
 			// consumed (the serial kernel assigned one) but nothing survives
@@ -797,10 +529,8 @@ func (m *MultiKernel) processRec(l *mergeLane, res [][]uint64) {
 			logs.execLog[st].key = key // resolve the in-window record
 		}
 	}
-	if res == nil {
-		for i := rec.actLo; i < rec.actHi; i++ {
-			logs.actions[i]()
-		}
+	for i := rec.actLo; i < rec.actHi; i++ {
+		logs.actions[i]()
 	}
 	m.stats.ReplayRecords++
 }
@@ -890,7 +620,7 @@ func (m *MultiKernel) ltSecond(M, w int) int {
 // runner-up's head — O(1) per record on runny inputs (a shard's records
 // within one instant, or one shard dominating a quiet stretch) — replacing
 // the old O(K)-per-record best-scan.
-func (m *MultiKernel) mergeLanes(res [][]uint64) {
+func (m *MultiKernel) mergeLanes() {
 	M := len(m.lanes)
 	switch M {
 	case 0:
@@ -898,7 +628,7 @@ func (m *MultiKernel) mergeLanes(res [][]uint64) {
 	case 1:
 		l := &m.lanes[0]
 		for !l.done {
-			m.processRec(l, res)
+			m.processRec(l)
 			m.laneAdvance(l)
 		}
 		return
@@ -913,7 +643,7 @@ func (m *MultiKernel) mergeLanes(res [][]uint64) {
 		sec := m.ltSecond(M, w)
 		ls := &m.lanes[sec]
 		for {
-			m.processRec(l, res)
+			m.processRec(l)
 			consumed++
 			m.laneAdvance(l)
 			if l.done {
@@ -975,10 +705,8 @@ func (m *MultiKernel) finish() error {
 			return p.err
 		}
 	}
-	for _, s := range m.shards {
-		if s.stopped {
-			return nil
-		}
+	if m.stopped() {
+		return nil
 	}
 	var blocked []string
 	for _, s := range m.shards {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -157,8 +158,8 @@ func TestMultiKernelTraceEquivalence(t *testing.T) {
 
 // blockRun drives a communication-local workload — rings of `group` nodes
 // that never talk across ring boundaries, with the blocks partition keeping
-// each ring on one shard — so every window is envelope-free and the
-// adaptive extension / pipelined replay machinery has maximal room to fire.
+// each ring on one shard — so every window is envelope-free and adaptive
+// extension has maximal room to fire.
 // It returns per-node hop counts, run totals, and the window stats.
 func blockRun(t *testing.T, nodes, shards, group, rounds int, tune func(mk *MultiKernel)) (counts []int, events uint64, end Time, stats MultiKernelStats) {
 	t.Helper()
@@ -201,37 +202,50 @@ func blockRun(t *testing.T, nodes, shards, group, rounds int, tune func(mk *Mult
 	return counts, k.Events(), k.Now(), MultiKernelStats{}
 }
 
-// TestMultiKernelAdaptiveWindows proves the window optimisations fire on a
-// communication-local workload and change nothing observable: counts, event
-// totals and end times stay bit-identical to the serial kernel across every
-// barrier mode × extension × pipelining combination, windows grow to many
-// sub-rounds (Extensions > 0), and quiet-window replays pipeline when
-// enabled — while SetAdaptiveWindow(1) provably restores one-lookahead
-// windows and SetPipelinedReplay(-1) keeps every replay synchronous.
+// setProcs pins GOMAXPROCS for the rest of the test. It is the one input
+// that selects the barrier regime (1: the coordinator drives the shards
+// inline; more: runner goroutines behind the spin barrier), so tests that
+// must cover both set it explicitly. Not for use under t.Parallel.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestMultiKernelAdaptiveWindows proves adaptive extension fires on a
+// communication-local workload and changes nothing observable: counts, event
+// totals and end times stay bit-identical to the serial kernel under both
+// barrier regimes, with the default extension cap and with extension
+// disabled (extCap = 1, which provably restores one-lookahead windows:
+// Extensions == 0 exactly then). GOMAXPROCS alone must select the regime,
+// and the inline regime must start no runner goroutines.
 func TestMultiKernelAdaptiveWindows(t *testing.T) {
 	const nodes, group, rounds = 16, 4, 200
 	wantCounts, wantEv, wantEnd, _ := blockRun(t, nodes, 1, group, rounds, nil)
-	modes := []struct {
-		name     string
-		barrier  string // DSMRACE_MK_BARRIER for the construction
-		tune     func(mk *MultiKernel)
-		extend   bool // expect Extensions > 0
-		pipeline bool // expect PipelinedReplays > 0
+	for _, row := range []struct {
+		name          string
+		procs, extCap int
 	}{
-		{"inline-default", "inline", nil, true, false},
-		{"inline-forced-pipe", "inline", func(mk *MultiKernel) { mk.SetPipelinedReplay(1) }, true, true},
-		{"spin-auto", "spin", nil, true, true},
-		{"chan-auto", "chan", nil, true, true},
-		{"spin-pipe-off", "spin", func(mk *MultiKernel) { mk.SetPipelinedReplay(-1) }, true, false},
-		{"spin-no-extension", "spin", func(mk *MultiKernel) { mk.SetAdaptiveWindow(1) }, false, true},
-	}
-	for _, mode := range modes {
+		{"inline-default", 1, defaultExtensionCap},
+		{"inline-no-extension", 1, 1},
+		{"spin-default", 2, defaultExtensionCap},
+		{"spin-no-extension", 2, 1},
+	} {
 		for _, shards := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", mode.name, shards), func(t *testing.T) {
-				t.Setenv("DSMRACE_MK_BARRIER", mode.barrier)
-				counts, ev, end, stats := blockRun(t, nodes, shards, group, rounds, mode.tune)
-				if ev != wantEv || end != wantEnd {
-					t.Fatalf("events/end diverged: got %d/%d want %d/%d", ev, end, wantEv, wantEnd)
+			t.Run(fmt.Sprintf("%s/shards=%d", row.name, shards), func(t *testing.T) {
+				setProcs(t, row.procs)
+				var before, early, late int
+				var inline bool
+				counts, ev, end, stats := blockRun(t, nodes, shards, group, rounds, func(mk *MultiKernel) {
+					mk.extCap = row.extCap
+					inline = mk.inline
+					before = runtime.NumGoroutine()
+					mk.Shard(0).At(1, func() { early = runtime.NumGoroutine() })
+					mk.Shard(0).At(wantEnd, func() { late = runtime.NumGoroutine() })
+				})
+				// The two probe events are extra work on top of the reference run.
+				if ev != wantEv+2 || end != wantEnd {
+					t.Fatalf("events/end diverged: got %d/%d want %d/%d", ev, end, wantEv+2, wantEnd)
 				}
 				for i := range wantCounts {
 					if counts[i] != wantCounts[i] {
@@ -241,14 +255,20 @@ func TestMultiKernelAdaptiveWindows(t *testing.T) {
 				if stats.Windows == 0 || stats.SubWindows < stats.Windows {
 					t.Fatalf("implausible stats: %+v", stats)
 				}
-				if got := stats.Extensions > 0; got != mode.extend {
-					t.Fatalf("Extensions = %d, want >0 == %v (stats %+v)", stats.Extensions, mode.extend, stats)
+				if (stats.Extensions == 0) != (row.extCap == 1) {
+					t.Fatalf("Extensions = %d with extCap %d (stats %+v)", stats.Extensions, row.extCap, stats)
 				}
-				if got := stats.PipelinedReplays > 0; got != mode.pipeline {
-					t.Fatalf("PipelinedReplays = %d, want >0 == %v (stats %+v)", stats.PipelinedReplays, mode.pipeline, stats)
+				if stats.Extensions != stats.SubWindows-stats.Windows {
+					t.Fatalf("Extensions (%d) != SubWindows-Windows (%+v)", stats.Extensions, stats)
 				}
-				if mode.extend && stats.Windows >= stats.SubWindows {
-					t.Fatalf("extension fired but windows (%d) not fewer than sub-rounds (%d)", stats.Windows, stats.SubWindows)
+				if inline != (row.procs == 1) {
+					t.Fatalf("GOMAXPROCS=%d selected inline=%v", row.procs, inline)
+				}
+				// Runners of earlier spin runs exit asynchronously, so the
+				// count may fall during a run; without runners of its own
+				// it must not rise.
+				if inline && (early > before || late > before) {
+					t.Fatalf("inline regime started goroutines: %d before Run, %d/%d during", before, early, late)
 				}
 			})
 		}

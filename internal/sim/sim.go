@@ -117,16 +117,8 @@ type Kernel struct {
 	// winLog is set while a parallel window executes on this shard: pushes
 	// take provisional keys and are logged for the barrier replay.
 	winLog bool
-	// winTag identifies the current window's provisional keys (see provBit).
-	// A key whose tag differs from winTag belongs to the previous, still
-	// unreplayed window (pipelined replay) and is routed through lateExec.
-	winTag uint32
-	// windowLogs is the active log buffer of the current window. spare is
-	// its double buffer: when a window's replay is pipelined against the
-	// next window's execution, the coordinator takes the filled buffer
-	// (takeWindow) and the shard logs the next window into the spare.
+	// windowLogs is the current window's log buffer.
 	windowLogs
-	spare   windowLogs
 	curRec  execRec
 	recOpen bool
 	// queue holds all future events, ordered (time, seq), in a hierarchical
@@ -169,31 +161,15 @@ func NewKernel(cfg Config) *Kernel {
 	}
 }
 
-// provBit marks a provisional event key: provBit | tag<<32 | idx, assigned
-// during a parallel window in shard-local push order (idx) and rewritten to
-// the true global sequence number by the window barrier's serial replay.
-// Provisional keys compare greater than every true key — correct, because
-// anything pushed during a window was pushed after everything that already
-// carried a true key. Within one shard, keys of the same window compare by
-// local push order (idx), and keys of consecutive windows by the window tag
-// — both exactly the serial kernel's relative push order. Tags exist for
-// pipelined replay, where a window's keys are still provisional while the
-// next window pushes; they reset to zero whenever a synchronous barrier has
-// resolved every outstanding key, so the 31-bit field cannot wrap while two
-// tags coexist.
-const (
-	provBit    = uint64(1) << 63
-	provTagMax = uint32(1)<<31 - 1
-)
-
-// provTag and provIdx decompose a provisional key.
-func provTag(key uint64) uint32 { return uint32(key>>32) & provTagMax }
-func provIdx(key uint64) uint32 { return uint32(key) }
-
-// provKey composes a provisional key.
-func provKey(tag uint32, idx int) uint64 {
-	return provBit | uint64(tag)<<32 | uint64(uint32(idx))
-}
+// provBit marks a provisional event key: provBit | idx, assigned during a
+// parallel window in shard-local push order (idx) and rewritten to the true
+// global sequence number by the window barrier's serial replay. Provisional
+// keys compare greater than every true key — correct, because anything
+// pushed during a window was pushed after everything that already carried a
+// true key — and among themselves by local push order, exactly the serial
+// kernel's relative push order within one shard. Every barrier resolves
+// every outstanding key, so provisional keys never outlive their window.
+const provBit = uint64(1) << 63
 
 // provState sentinels (non-negative values are execLog indices).
 const (
@@ -207,34 +183,17 @@ type pushEntry struct {
 	env any    // deferred send envelope (opaque to sim; see EnvelopeFiler)
 }
 
-// lateRec records an event that was pushed in the previous window but
-// executed in the current one (possible only under pipelined replay, where
-// the previous window's logs are still being merged while this window
-// runs). idx is the push index in the previous window's pushLog; rec is the
-// execLog index of the event's record in *this* window (-1 if the record
-// was dropped). The barrier apply resolves rec's key through the previous
-// window's buffered resolutions — the event struct itself is recycled by
-// then and must not be touched.
-type lateRec struct {
-	idx uint32
-	rec int32
-}
-
-// windowLogs is one window's worth of per-shard replay state. A kernel owns
-// two: the active buffer (embedded in Kernel) and a spare, swapped by
-// takeWindow when the coordinator pipelines a window's replay against the
-// next window's execution.
+// windowLogs is one window's worth of per-shard replay state.
 type windowLogs struct {
 	// pushLog records every push of the window, in push order; entry i
-	// belongs to provisional key provBit|tag<<32|i. An entry is either a
-	// local event (e) or a deferred cross-shard/latency-drawing send (env).
+	// belongs to provisional key provBit|i. An entry is either a local event
+	// (e) or a deferred cross-shard/latency-drawing send (env).
 	pushLog []pushEntry
 	// provState[i] records what became of push i: provPending (its event is
-	// still queued; the replay rewrites e.seq in place — or buffers the key
-	// when the replay is pipelined), provExecuted (it ran without pushing
-	// anything; the replay only advances the key counter), or the execLog
-	// index of its record (it ran and pushed/logged, so the replay resolves
-	// that record's key).
+	// still queued; the replay rewrites e.seq in place), provExecuted (it ran
+	// without pushing anything; the replay only advances the key counter),
+	// or the execLog index of its record (it ran and pushed/logged, so the
+	// replay resolves that record's key).
 	provState []int32
 	// execLog records, in execution order, every window event that pushed
 	// events or logged ordered actions; the barrier replay merges these
@@ -243,13 +202,9 @@ type windowLogs struct {
 	// actions are ordered side effects (LogOrdered) of the window, flushed
 	// by the barrier replay in serial order.
 	actions []func()
-	// lateExec records executions of the *previous* window's pushes (see
-	// lateRec); only ever non-empty under pipelined replay.
-	lateExec []lateRec
 	// envs counts deferred envelopes logged this window. The coordinator
 	// reads it at every sub-window barrier: a window with envelopes cannot
-	// be extended (the arrivals bound the next window's start) nor have its
-	// replay pipelined (filing must precede the next window's execution).
+	// be extended (the arrivals bound the next window's start).
 	envs int
 }
 
@@ -259,7 +214,6 @@ func (w *windowLogs) reset() {
 	w.provState = w.provState[:0]
 	w.execLog = w.execLog[:0]
 	w.actions = w.actions[:0]
-	w.lateExec = w.lateExec[:0]
 	w.envs = 0
 }
 
@@ -400,7 +354,7 @@ func (k *Kernel) push(t Time, fn func(), p *Proc) {
 	}
 	var key uint64
 	if k.winLog {
-		key = provKey(k.winTag, len(k.pushLog))
+		key = provBit | uint64(len(k.pushLog))
 	} else if k.mk != nil {
 		key = k.mk.nextKey()
 	} else {
@@ -707,19 +661,8 @@ func (k *Kernel) closeRec() {
 	k.curRec.actHi = int32(len(k.actions))
 	kept := k.curRec.pushHi > k.curRec.pushLo || k.curRec.actHi > k.curRec.actLo
 	if k.curRec.key&provBit != 0 {
-		idx := provIdx(k.curRec.key)
-		if provTag(k.curRec.key) != k.winTag {
-			// The event was pushed in the previous window, whose replay is
-			// pipelined against this one: its provState lives in the taken
-			// buffer the coordinator is merging right now. Route through
-			// lateExec so the barrier apply resolves this record's key from
-			// the buffered resolutions (and skips the recycled struct).
-			rec := int32(-1)
-			if kept {
-				rec = int32(len(k.execLog))
-			}
-			k.lateExec = append(k.lateExec, lateRec{idx: idx, rec: rec})
-		} else if kept {
+		idx := k.curRec.key &^ provBit
+		if kept {
 			k.provState[idx] = int32(len(k.execLog))
 		} else {
 			k.provState[idx] = provExecuted
@@ -731,12 +674,10 @@ func (k *Kernel) closeRec() {
 }
 
 // beginWindow prepares the shard for one parallel window ending (exclusive)
-// at horizon: provisional keys under the given window tag, push/action
-// logging, and a cleared wheel peek cache (the barrier may have rewritten
-// queued events' keys in place).
-func (k *Kernel) beginWindow(horizon Time, tag uint32) {
+// at horizon: provisional keys, push/action logging, and a cleared wheel
+// peek cache (the barrier may have rewritten queued events' keys in place).
+func (k *Kernel) beginWindow(horizon Time) {
 	k.horizon = horizon
-	k.winTag = tag
 	k.winLog = true
 	k.windowLogs.reset()
 	k.queue.invalidatePeek()
@@ -755,22 +696,6 @@ func (k *Kernel) extendWindow(horizon Time) {
 // filing (PushKeyed) requires winLog off.
 func (k *Kernel) endWindow() {
 	k.winLog = false
-}
-
-// takeWindow hands the just-finished window's log buffer to the coordinator
-// for a pipelined replay and installs the spare for the next window. The
-// caller returns the buffer via returnWindow once applied.
-func (k *Kernel) takeWindow() windowLogs {
-	out := k.windowLogs
-	k.windowLogs = k.spare
-	k.windowLogs.reset()
-	k.spare = windowLogs{}
-	return out
-}
-
-// returnWindow gives an applied log buffer back as the spare.
-func (k *Kernel) returnWindow(w windowLogs) {
-	k.spare = w
 }
 
 // runWindow executes the shard's events below the horizon set by

@@ -2,6 +2,7 @@ package dsmrace
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dsmrace/internal/coherence"
@@ -92,7 +93,7 @@ func mustCoherence(name string) coherence.Protocol {
 // runMultiDiff executes one schedule on a given shard count (0 = the plain
 // single kernel) and returns its fingerprint plus the cluster for pool
 // audits.
-func runMultiDiff(t *testing.T, sched int, kernels int, partition string, seed int64, opts ...func(*dsm.Config)) (multiFingerprint, *dsm.Cluster) {
+func runMultiDiff(t *testing.T, sched int, kernels int, partition string, seed int64) (multiFingerprint, *dsm.Cluster) {
 	t.Helper()
 	sc := multiDiffSchedules[sched]
 	d, err := NewDetector("vw-exact")
@@ -117,9 +118,6 @@ func runMultiDiff(t *testing.T, sched int, kernels int, partition string, seed i
 	}
 	if dcfg.LocalityGroup == 0 {
 		dcfg.LocalityGroup = w.LocalityGroup
-	}
-	for _, opt := range opts {
-		opt(&dcfg)
 	}
 	c, err := dsm.New(dcfg)
 	if err != nil {
@@ -229,54 +227,53 @@ func TestPartitionKeepsGroupsIntraShard(t *testing.T) {
 	}
 }
 
+// eachBarrierRegime runs fn as one subtest per multi-kernel barrier regime.
+// GOMAXPROCS is the only thing that selects between them — 1: the
+// coordinator drives the shards inline; more: runner goroutines behind the
+// spin barrier — so the sweep pins it explicitly and every host exercises
+// both. Not for use under t.Parallel.
+func eachBarrierRegime(t *testing.T, fn func(t *testing.T)) {
+	for _, regime := range []struct {
+		name  string
+		procs int
+	}{{"inline", 1}, {"spin", 2}} {
+		t.Run(regime.name, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(regime.procs)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			fn(t)
+		})
+	}
+}
+
+// TestMultiKernelDifferentialModes re-runs every adversarial schedule under
+// both barrier regimes, asserting the fingerprints match the single-kernel
+// reference at every shard count and every pool balance settles to zero.
+func TestMultiKernelDifferentialModes(t *testing.T) {
+	for i, sc := range multiDiffSchedules {
+		i, sc := i, sc
+		t.Run(sc.name, func(t *testing.T) {
+			want, _ := runMultiDiff(t, i, 0, "", 1)
+			eachBarrierRegime(t, func(t *testing.T) {
+				for _, k := range []int{1, 2, 4, 8} {
+					got, c := runMultiDiff(t, i, k, "blocks", 1)
+					g, w := got, want
+					g.kernels, w.kernels = 0, 0
+					if g != w {
+						t.Fatalf("k=%d: fingerprints diverged:\n got  %+v\n want %+v", k, g, w)
+					}
+					auditPools(t, c, fmt.Sprintf("k=%d", k))
+				}
+			})
+		})
+	}
+}
+
 // TestMultiKernelDifferential is the tentpole gate: for K ∈ {1, 2, 4, 8},
 // every fingerprint — race reports, virtual durations, event counts,
 // per-kind message totals, coherence counters and the final memory image —
 // of a partitioned multi-kernel run must be bit-identical to the
 // single-kernel run, on every adversarial schedule, under both partition
 // policies, and with every per-shard pool balance settling to zero.
-// windowModes are the adaptive-window/pipelined-replay configurations the
-// mode-sweep gates run beyond the defaults: the pre-adaptive behaviour
-// (one-lookahead windows, synchronous replay) and the fully aggressive one
-// (default extension, pipelining forced on even where auto would disable
-// it). Every mode must produce bit-identical fingerprints.
-var windowModes = []struct {
-	name string
-	opt  func(*dsm.Config)
-}{
-	{"legacy-windows", func(c *dsm.Config) { c.WindowExtension = 1; c.PipelinedReplay = -1 }},
-	{"forced-pipeline", func(c *dsm.Config) { c.PipelinedReplay = 1 }},
-}
-
-// TestMultiKernelDifferentialModes re-runs every adversarial schedule with
-// adaptive windows and pipelined replay forced off and forced on,
-// asserting the fingerprints match the single-kernel reference at every
-// shard count — the determinism gate for the window optimisations.
-func TestMultiKernelDifferentialModes(t *testing.T) {
-	for i, sc := range multiDiffSchedules {
-		i, sc := i, sc
-		t.Run(sc.name, func(t *testing.T) {
-			want, _ := runMultiDiff(t, i, 0, "", 1)
-			for _, mode := range windowModes {
-				for _, k := range []int{1, 2, 4, 8} {
-					got, c := runMultiDiff(t, i, k, "blocks", 1, mode.opt)
-					g, w := got, want
-					g.kernels, w.kernels = 0, 0
-					if g != w {
-						t.Fatalf("%s k=%d: fingerprints diverged:\n got  %+v\n want %+v", mode.name, k, g, w)
-					}
-					sys := c.System()
-					for s := 0; s < sys.PoolShards(); s++ {
-						if b := sys.PoolBalanceShard(s); b != (rdma.PoolBalance{}) {
-							t.Fatalf("%s k=%d: pool shard %d unbalanced after clean run: %+v", mode.name, k, s, b)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestMultiKernelDifferential(t *testing.T) {
 	for i, sc := range multiDiffSchedules {
 		i, sc := i, sc
