@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"dsmrace/internal/core"
+	"dsmrace/internal/dsm"
+	"dsmrace/internal/rdma"
 	"dsmrace/internal/vclock"
 )
 
@@ -93,6 +95,51 @@ func TestOnAccessAllocationBudget(t *testing.T) {
 						t.Errorf("only %d of the ~100 measured steps raced", raced-warm)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestContendedLockAllocationBudget pins the lock path's steady state: with
+// every process queueing on one area lock, an acquire/release round trip —
+// request, wait in the home's queue, grant, unlock — allocates nothing once
+// the pools and the waiter ring have reached their high-water marks. Two
+// whole runs that differ only in their iteration count must therefore
+// allocate the same.
+func TestContendedLockAllocationBudget(t *testing.T) {
+	const procs, warm, measured = 8, 64, 256
+	for _, det := range []string{"off", "vw-exact"} {
+		t.Run(det, func(t *testing.T) {
+			run := func(iters int) {
+				d, err := NewDetector(det)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := dsm.New(dsm.Config{Procs: procs, Seed: 3, RDMA: rdma.DefaultConfig(d, nil)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.MustAlloc("x", 0, 1)
+				res, err := c.Run(func(p *dsm.Proc) error {
+					for i := 0; i < iters; i++ {
+						if err := p.Lock("x"); err != nil {
+							return err
+						}
+						p.MustUnlock("x")
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ferr := res.FirstError(); ferr != nil {
+					t.Fatal(ferr)
+				}
+			}
+			short := testing.AllocsPerRun(1, func() { run(warm) })
+			long := testing.AllocsPerRun(1, func() { run(warm + measured) })
+			if per := (long - short) / (procs * measured); per > 0 {
+				t.Errorf("%.3f allocations per contended acquisition (%v vs %v per run), want 0", per, long, short)
 			}
 		})
 	}

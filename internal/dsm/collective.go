@@ -91,7 +91,7 @@ func (p *Proc) Barrier() {
 	p.c.sys.NIC(p.id).SendUser(0, network.KindBarrier, size,
 		&barrierArrive{proc: p.id, epoch: p.epoch, clock: p.clock.V.Copy(), obs: obs})
 	for !p.barrierDone {
-		p.sp.Park(fmt.Sprintf("barrier %d", p.epoch))
+		p.sp.ParkN("barrier", p.epoch)
 	}
 	// The merged barrier clock has contributions from every process: merge
 	// it densely (the mask saturates, as it must).

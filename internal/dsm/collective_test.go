@@ -199,6 +199,27 @@ func TestLockDeadlockSurfacesAsError(t *testing.T) {
 	}
 }
 
+// TestBarrierDeadlockNamesEpoch: the barrier parks under a static label and
+// an integer epoch; a run stuck in a barrier must still report which one.
+func TestBarrierDeadlockNamesEpoch(t *testing.T) {
+	c := newCluster(t, 2, nil, nil)
+	_, err := c.Run(func(p *Proc) error {
+		p.Barrier()
+		p.Barrier()
+		if p.ID() == 0 {
+			p.Barrier() // P1 never enters epoch 3
+		}
+		return nil
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if len(dl.Blocked) != 1 || dl.Blocked[0] != "P0: barrier 3" {
+		t.Fatalf("blocked = %v, want [P0: barrier 3]", dl.Blocked)
+	}
+}
+
 func TestManyBarrierEpochs(t *testing.T) {
 	const n, epochs = 3, 25
 	c := newCluster(t, n, core.NewExactVWDetector(), nil)

@@ -24,7 +24,7 @@
 //     grabbed type back — which keeps NIC.Get/Put (DSM data operations)
 //     out.
 //   - eventctx: annotation-driven call-graph discipline for the
-//     baton-passing kernel's event-slot primitives. Functions annotated
+//     kernel's event-slot primitives. Functions annotated
 //     //dsmlint:eventctx (sim.Kernel.Defer, Kernel.LogOrdered) may only
 //     be called from event context: a function annotated
 //     //dsmlint:eventhandler, or a func literal handed to an eventctx or

@@ -1,4 +1,4 @@
-// Package eventctx is a dsmlint fixture: a miniature baton-passing
+// Package eventctx is a dsmlint fixture: a miniature event
 // kernel seeded with the event-context mutant the eventctx pass exists
 // to catch — an event-slot primitive called from setup context — next to
 // the annotated handler, the spawned closure, and the reviewed

@@ -31,9 +31,9 @@
 // completes through pre-bound continuations in event context, with each
 // follow-up phase filed via sim.Kernel.Defer into the very slot the old
 // parked path's per-hop wakeup occupied. A remote operation therefore costs
-// zero goroutine scheduling beyond its single park, and under the kernel's
-// baton-passing scheduler even that park usually resumes without a
-// goroutine switch. The pre-CPS parked path survives behind
+// zero goroutine scheduling beyond its single park, and that park is two
+// coroutine switches with the kernel's driver, not a trip through the Go
+// scheduler. The pre-CPS parked path survives behind
 // Config.LegacyInitiator purely as the reference for the differential
 // determinism suite.
 //

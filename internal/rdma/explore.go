@@ -37,9 +37,9 @@ func (s *System) ExploreFingerprint(h uint64) uint64 {
 				held = 1
 			}
 			h = fpMix(h, held|uint64(l.owner+1)<<1|uint64(l.depth)<<33)
-			h = fpMix(h, uint64(len(l.waiters)))
-			for _, w := range l.waiters {
-				h = fpMix(h, uint64(w.owner+1))
+			h = fpMix(h, uint64(l.waiters.Len()))
+			for i := 0; i < l.waiters.Len(); i++ {
+				h = fpMix(h, uint64(l.waiters.At(i).owner+1))
 			}
 		}
 		// pending ops, commutative over entries (the table is scanned, not

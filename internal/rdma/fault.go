@@ -277,9 +277,7 @@ func (n *NIC) retransmit(id uint64, op *initOp) {
 	dst := n.homeOf(op.tmpl.area)
 	op.dst = dst
 	rr := n.ps.grabReq()
-	owner := rr.owner
-	*rr = op.tmpl
-	rr.owner = owner
+	rr.fill(&op.tmpl)
 	rr.id = id
 	rr.origin = n.id
 	op.rr = rr
@@ -425,10 +423,11 @@ func (s *System) faultCrash(shard, node int, at sim.Time) {
 // queued payloads (the home-side req, and for data ops the homeOp) complete
 // their pool lifecycle here; the continuations never run.
 func (n *NIC) purgeWaiters(l *lockState, crashed int) {
-	kept := l.waiters[:0]
-	for _, w := range l.waiters {
+	// One trip round the ring: survivors go back in order, behind nothing.
+	for i := l.waiters.Len(); i > 0; i-- {
+		w := l.waiters.PopFront()
 		if crashed != fault.AnyNode && w.owner != crashed {
-			kept = append(kept, w)
+			l.waiters.PushBack(w)
 			continue
 		}
 		switch pl := w.payload.(type) {
@@ -440,11 +439,6 @@ func (n *NIC) purgeWaiters(l *lockState, crashed int) {
 			n.ps.releaseReq(pl)
 		}
 	}
-	// Zero the tail so purged waiters are not retained by the backing array.
-	for i := len(kept); i < len(l.waiters); i++ {
-		l.waiters[i] = lockWaiter{}
-	}
-	l.waiters = kept
 }
 
 // drainInvalJoins force-completes every invalidation round the crashed home

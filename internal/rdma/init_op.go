@@ -167,9 +167,7 @@ func releaseInit(ps *shardPools, o *initOp) {
 func (o *initOp) issue(dst network.NodeID, kind network.Kind, size int, r *req, cont func(*resp)) {
 	n := o.n
 	rr := n.ps.grabReq()
-	owner := rr.owner
-	*rr = *r
-	rr.owner = owner
+	rr.fill(r)
 	rr.id = n.ps.nextReq()
 	rr.origin = n.id
 	o.rr, o.next, o.kind = rr, cont, kind

@@ -1,6 +1,9 @@
 package rdma
 
-import "dsmrace/internal/vclock"
+import (
+	"dsmrace/internal/sim"
+	"dsmrace/internal/vclock"
+)
 
 // lockState is the NIC-side lock for one memory area (§III-A: "since NICs
 // are in charge with memory management in the public memory space, they can
@@ -11,7 +14,7 @@ type lockState struct {
 	held    bool
 	owner   int
 	depth   int
-	waiters []lockWaiter
+	waiters sim.Ring[lockWaiter]
 	// relClock is the clock carried by the most recent user-level unlock;
 	// the next user-level grant returns it, creating the release→acquire
 	// happens-before edge. Masked, so a lock chain confined to a few
@@ -68,7 +71,7 @@ func (l *lockState) acquire(owner int, fn func(), payload any) {
 		fn()
 		return
 	}
-	l.waiters = append(l.waiters, lockWaiter{owner: owner, fn: fn, payload: payload})
+	l.waiters.PushBack(lockWaiter{owner: owner, fn: fn, payload: payload})
 }
 
 // release drops one level of the lock; when fully released the next waiter
@@ -92,12 +95,11 @@ func (l *lockState) release() {
 	}
 	l.msgHeld = false
 	l.ownerDead = false
-	if len(l.waiters) == 0 {
+	if l.waiters.Len() == 0 {
 		l.held = false
 		return
 	}
-	w := l.waiters[0]
-	l.waiters = l.waiters[1:]
+	w := l.waiters.PopFront()
 	l.owner = w.owner
 	l.depth = 1
 	w.fn()

@@ -35,6 +35,20 @@ type req struct {
 	// MESI: this invalidation is an exclusivity recall — downgrade and write
 	// dirty data back instead of dropping the copy.
 	recall bool
+	// home is the NIC serving a lock request, set by handleLock for grantFn
+	// (r.grantLock, bound once per struct and kept across pool round trips),
+	// so a lock request queues behind the holder without a closure.
+	home    *NIC
+	grantFn func()
+}
+
+// fill copies a caller's literal into the pooled req, keeping what belongs
+// to the struct rather than to the request: its owner shard and its bound
+// continuation.
+func (rr *req) fill(r *req) {
+	owner, grantFn := rr.owner, rr.grantFn
+	*rr = *r
+	rr.owner, rr.grantFn = owner, grantFn
 }
 
 // resp is the payload of every NIC response message.
@@ -295,9 +309,7 @@ func wireArea(a memory.Area) int { return int(a.ID) + 1 }
 // handler recycles the pooled req when it is done.
 func (n *NIC) send(dst network.NodeID, kind network.Kind, size int, r *req) {
 	rr := n.ps.grabReq()
-	owner := rr.owner
-	*rr = *r
-	rr.owner = owner
+	rr.fill(r)
 	rr.origin = n.id
 	n.sys.net.Send(&network.Message{Src: n.id, Dst: dst, Kind: kind, Size: size, Area: wireArea(rr.area), Payload: rr})
 }
@@ -847,51 +859,61 @@ func (n *NIC) handleLock(m *network.Message) {
 			return
 		}
 	}
-	l.acquire(r.acc.Proc, func() {
-		// The lock stays held until an Unlock message arrives. User-level
-		// grants carry the previous releaser's clock (release→acquire edge),
-		// copied into a pooled buffer the acquirer releases after absorbing.
-		var rs resp
-		size := network.HeaderBytes
-		if r.user && !l.relClock.IsNil() {
-			if n.sys.fArm {
-				// Copy semantics under hostile schedules: the slot must
-				// survive a lost grant so the retransmission path above can
-				// re-ship the release clock (the lost reply's buffer was
-				// reclaimed with the message).
-				rs.clock = l.relClock.CopyInto(n.ps.grabClock())
-			} else {
-				// Hand the release clock's buffer to the grant outright: each
-				// user-level release is consumed by exactly the next
-				// user-level grant (the lock is held in between), so the slot
-				// would be overwritten before it is read again — and the
-				// acquirer returns the buffer to the pool after absorbing,
-				// completing the unlock → slot → grant → pool lifecycle
-				// without a copy. (A re-entrant re-acquire no longer re-ships
-				// the clock it already absorbed — a no-op merge either way.)
-				rs.clock = l.relClock
-				l.relClock = vclock.Masked{}
-			}
-			size += rs.clock.V.WireSize()
-		}
-		if r.user && l.relObs != nil {
-			// Causal coherence: the grant carries the accumulated releaser
-			// observation clock (a fresh copy the acquirer owns outright).
-			rs.dep = l.relObs.Copy()
-			size += rs.dep.WireSize()
-		}
-		if r.user && n.sys.cfg.Observer != nil {
-			n.sys.cfg.Observer.LockAcq(r.acc.Proc, r.area, n.k.Now())
-		}
+	r.home = n
+	if r.grantFn == nil {
+		r.grantFn = r.grantLock
+	}
+	l.acquire(r.acc.Proc, r.grantFn, r)
+}
+
+// grantLock is a lock request's continuation, run at its home NIC once the
+// area lock is held for the requester.
+func (r *req) grantLock() {
+	n := r.home
+	l := n.lockFor(r.area.ID)
+	// The lock stays held until an Unlock message arrives. User-level
+	// grants carry the previous releaser's clock (release→acquire edge),
+	// copied into a pooled buffer the acquirer releases after absorbing.
+	var rs resp
+	size := network.HeaderBytes
+	if r.user && !l.relClock.IsNil() {
 		if n.sys.fArm {
-			l.msgHeld = true
-			l.lastGrant = r.id
+			// Copy semantics under hostile schedules: the slot must
+			// survive a lost grant so handleLock's retransmission path can
+			// re-ship the release clock (the lost reply's buffer was
+			// reclaimed with the message).
+			rs.clock = l.relClock.CopyInto(n.ps.grabClock())
+		} else {
+			// Hand the release clock's buffer to the grant outright: each
+			// user-level release is consumed by exactly the next
+			// user-level grant (the lock is held in between), so the slot
+			// would be overwritten before it is read again — and the
+			// acquirer returns the buffer to the pool after absorbing,
+			// completing the unlock → slot → grant → pool lifecycle
+			// without a copy. (A re-entrant re-acquire no longer re-ships
+			// the clock it already absorbed — a no-op merge either way.)
+			rs.clock = l.relClock
+			l.relClock = vclock.Masked{}
 		}
-		n.reply(r, network.KindLockGrant, size, &rs)
-		if n.sys.faultOn {
-			n.ps.releaseReq(r) // home-side request ownership; see serveRead
-		}
-	}, r)
+		size += rs.clock.V.WireSize()
+	}
+	if r.user && l.relObs != nil {
+		// Causal coherence: the grant carries the accumulated releaser
+		// observation clock (a fresh copy the acquirer owns outright).
+		rs.dep = l.relObs.Copy()
+		size += rs.dep.WireSize()
+	}
+	if r.user && n.sys.cfg.Observer != nil {
+		n.sys.cfg.Observer.LockAcq(r.acc.Proc, r.area, n.k.Now())
+	}
+	if n.sys.fArm {
+		l.msgHeld = true
+		l.lastGrant = r.id
+	}
+	n.reply(r, network.KindLockGrant, size, &rs)
+	if n.sys.faultOn {
+		n.ps.releaseReq(r) // home-side request ownership; see serveRead
+	}
 }
 
 func (n *NIC) handleUnlock(m *network.Message) {

@@ -24,7 +24,7 @@ import (
 // releaseResp.
 func (n *NIC) roundTrip(p *sim.Proc, dst network.NodeID, kind network.Kind, size int, r *req) *resp {
 	rr := n.ps.grabReq()
-	*rr = *r
+	rr.fill(r)
 	rr.id = n.ps.nextReq()
 	rr.origin = n.id
 	pd := n.ps.grabPending(p)

@@ -529,7 +529,7 @@ func (ps *shardPools) grabReq() *req {
 
 func (ps *shardPools) releaseReq(r *req) {
 	owner := r.owner
-	*r = req{}
+	*r = req{grantFn: r.grantFn}
 	if int(owner) == ps.idx {
 		ps.balance.Reqs--
 		ps.reqPool = append(ps.reqPool, r)

@@ -1,17 +1,19 @@
 // Package sim is a deterministic discrete-event simulation kernel.
 //
-// Simulated processes are ordinary Go functions running on goroutines, but
-// the kernel enforces that exactly one of them runs at a time. Scheduling is
-// baton-passing: whichever goroutine holds the baton executes the event loop
-// in place. A process that parks does not hand control to a central
-// scheduler goroutine — it becomes the driver itself, executes events
-// inline, and resumes directly (zero goroutine switches) when the next
-// resumption it pops is its own; only a resumption of a *different* process
-// moves the baton, with a single direct channel hand-off. All cross-process
-// signalling is still routed through the event queue, so a run is a pure
-// function of (programs, configuration, seed): the same seed always yields
-// the same interleaving — which goroutine happens to execute an event is
-// invisible to the simulation. Race *manifestation* is explored by sweeping
+// Simulated processes are ordinary Go functions, and exactly one of them
+// runs at a time. Scheduling is one driver and asymmetric coroutines:
+// Kernel.Run is the only code that pops events and every event callback
+// runs on its goroutine; Spawn wraps a process body in an iter.Pull
+// coroutine, an event that resumes the process switches into it (next), and
+// Proc.Park switches back (yield). A wakeup is two direct coroutine
+// switches — no scheduler round trip, so a single-kernel run costs the same
+// at any GOMAXPROCS — and a process that is its own next event still goes
+// through the driver: event handlers stay on one hot stack. When a run ends
+// with processes still parked (deadlock, limit, Stop), Run unwinds them
+// after reading its report, so no coroutine outlives it. All cross-process
+// signalling is routed through the event queue, so a run is a pure function
+// of (programs, configuration, seed): the same seed always yields the same
+// interleaving. Race *manifestation* is explored by sweeping
 // seeds, which is how the harness realises the paper's operational
 // definition of a race ("the result of a computation differs between
 // executions", §III-C).
@@ -51,7 +53,6 @@
 // record worst case and O(1) on runs. Nothing here is configurable. The
 // only choice — how a sub-round reaches the shards — is read from the host:
 // with GOMAXPROCS > 1 runner goroutines are released through a spin
-// barrier, with GOMAXPROCS == 1 the coordinator drives the shards inline
-// with no goroutine hand-offs at all; results are bit-identical either
-// way. MultiKernelStats counts what fired.
+// barrier, with GOMAXPROCS == 1 the coordinator drives the shards inline;
+// results are bit-identical either way. MultiKernelStats counts what fired.
 package sim

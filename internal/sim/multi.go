@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -118,7 +117,7 @@ type MultiKernel struct {
 	// serial barrier in between). Spinning (with Gosched backoff) instead
 	// of channel hand-offs matters: sub-rounds are one network lookahead
 	// long — microseconds of virtual time, often under a microsecond of
-	// real work — and a futex sleep/wake pair per shard per round costs
+	// real work — and a futex sleep-and-wake pair per shard per round costs
 	// more than the round itself.
 	epoch     atomic.Uint64
 	doneCount atomic.Int64
@@ -345,7 +344,7 @@ func (m *MultiKernel) place() (Time, bool) {
 
 // subRound runs one sub-round on every active shard and returns when all
 // have reached the horizon: inline, the coordinator drives each active shard
-// in shard order itself; otherwise the epoch bump wakes every runner and the
+// in shard order itself; otherwise bumping the epoch wakes every runner and the
 // coordinator spins until all have acked.
 func (m *MultiKernel) subRound() {
 	if m.inline {
@@ -687,8 +686,14 @@ func (m *MultiKernel) panicked() any {
 
 // finish assembles the run result exactly as Kernel.Run does: panic first,
 // then the run error, then process errors in spawn order, then a deadlock
-// report over every still-parked process.
+// report over every still-parked process — and, like it, unwinds those
+// processes once the result is read.
 func (m *MultiKernel) finish() error {
+	defer func() {
+		for _, s := range m.shards {
+			s.reclaim()
+		}
+	}()
 	if p := m.panicked(); p != nil {
 		panic(p)
 	}
@@ -710,11 +715,7 @@ func (m *MultiKernel) finish() error {
 	}
 	var blocked []string
 	for _, s := range m.shards {
-		for _, p := range s.procs {
-			if p.state == ProcParked {
-				blocked = append(blocked, fmt.Sprintf("%s: %s", p.Name, p.blockReason))
-			}
-		}
+		blocked = appendBlocked(blocked, s.procs)
 	}
 	if len(blocked) > 0 {
 		sort.Strings(blocked)

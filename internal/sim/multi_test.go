@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // toyNet is a minimal cross-node transport for exercising the multi-kernel:
@@ -335,6 +337,79 @@ func TestMultiKernelProcsAcrossShards(t *testing.T) {
 	for i := range wantCounts {
 		if gotCounts[i] != wantCounts[i] {
 			t.Fatalf("node %d completed %d rounds, want %d", i, gotCounts[i], wantCounts[i])
+		}
+	}
+}
+
+// TestGoroutineReclaim: however a run ends with processes still parked —
+// deadlock, event limit, Stop — no process coroutine and no shard runner
+// outlives Run, and unwinding the processes leaves the deadlock report as it
+// always read.
+func TestGoroutineReclaim(t *testing.T) {
+	setProcs(t, 2) // K=2 behind the spin barrier, runner goroutines included
+	for _, shards := range []int{1, 2} {
+		for _, end := range []string{"deadlock", "limit", "stop"} {
+			t.Run(fmt.Sprintf("K=%d/%s", shards, end), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				cfg := Config{Seed: 1}
+				if end == "limit" {
+					cfg.MaxEvents = 50
+				}
+				var ks [2]*Kernel
+				var run func() error
+				if shards == 1 {
+					k := NewKernel(cfg)
+					ks, run = [2]*Kernel{k, k}, k.Run
+				} else {
+					mk := NewMultiKernel(cfg, 2, 100)
+					ks, run = [2]*Kernel{mk.Shard(0), mk.Shard(1)}, mk.Run
+				}
+				unwound := 0
+				for i, k := range ks {
+					k.Spawn(fmt.Sprintf("P%d", i), func(p *Proc) {
+						defer func() { unwound++ }()
+						p.Sleep(10)
+						p.Park("forever")
+					})
+				}
+				switch end {
+				case "limit":
+					var tick func()
+					tick = func() { ks[0].Schedule(1, tick) }
+					ks[0].Schedule(0, tick)
+				case "stop":
+					ks[0].Schedule(20, ks[0].Stop)
+				}
+				err := run()
+				switch end {
+				case "deadlock":
+					const want = "sim: deadlock at 0.010us; blocked: P0: forever; P1: forever"
+					if err == nil || err.Error() != want {
+						t.Fatalf("err = %v, want %q", err, want)
+					}
+				case "limit":
+					var l *LimitError
+					if !errors.As(err, &l) || l.What != "event" {
+						t.Fatalf("err = %v, want event LimitError", err)
+					}
+				case "stop":
+					if err != nil {
+						t.Fatalf("stopped run: %v", err)
+					}
+				}
+				if unwound != 2 {
+					t.Fatalf("%d of 2 parked processes unwound by Run", unwound)
+				}
+				// Coroutines are gone when Run returns; shard runners see the
+				// quit flag a moment later.
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if g := runtime.NumGoroutine(); g > base {
+					t.Fatalf("%d goroutines after Run, %d before", g, base)
+				}
+			})
 		}
 	}
 }

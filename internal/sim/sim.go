@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -88,26 +90,24 @@ type ChoiceMeta struct {
 // then call Run. A Kernel is not safe for concurrent use by real threads;
 // concurrency lives inside the simulation.
 //
-// Scheduling is baton-passing: exactly one goroutine — the driver — executes
-// the event loop at any moment. A process that parks becomes the driver
-// itself and keeps executing events in place; it performs a goroutine
-// hand-off only when an event resumes a *different* process (and none at all
-// when the next resumption is its own — the common case for a process
-// waiting on its own continuation events). Run's goroutine drives until the
-// first process resumption and is handed the baton back when the run ends.
+// Scheduling is one driver and asymmetric coroutines: Run's goroutine is the
+// only code that pops events, and every event callback runs on it. A process
+// is an iter.Pull coroutine; an event that resumes it switches into it and
+// gets control back when the process parks or finishes — two direct
+// coroutine switches per wakeup, with no trip through the Go scheduler and
+// so no dependence on GOMAXPROCS.
 //
 // A Kernel can also be one shard of a MultiKernel (multi.go): the same event
-// loop then runs one conservative time window at a time, events pushed
-// during a window carry provisional keys that the window barrier's serial
-// replay rewrites into exact global sequence numbers, and the baton returns
-// to the shard runner at every window horizon through the same mainWake
-// hand-off that ends a standalone run.
+// loop then runs one conservative time window at a time, driven by the shard's
+// runner (or the coordinator inline) up to the window horizon, and events
+// pushed during a window carry provisional keys that the window barrier's
+// serial replay rewrites into exact global sequence numbers.
 type Kernel struct {
 	cfg Config
 	now Time
 	seq uint64
 	// horizon is the exclusive upper bound of the current drive: events at
-	// or beyond it stay queued and drive returns the baton. timeMax for a
+	// or beyond it stay queued and drive returns. timeMax for a
 	// standalone kernel (the horizon never triggers); a window end when the
 	// kernel is a MultiKernel shard.
 	horizon Time
@@ -132,17 +132,11 @@ type Kernel struct {
 	free  []*event // recycled event structs
 	rng   *rand.Rand
 	procs []*Proc
-	// mainWake returns the baton to Run's goroutine when a driving process
-	// ends the run (queue drained, limit tripped, or Stop). The send is the
-	// happens-before edge that lets Run read runErr, runPanic and every
-	// process's state without further synchronisation: only the goroutine
-	// that ended the run sends, and only Run receives.
-	mainWake chan struct{}
-	runErr   error
-	// runPanic holds a panic value recovered from an event callback; Run
-	// re-raises it on its own goroutine, preserving the pre-baton semantics
-	// (an event-handler panic always escaped Run) and never blaming the
-	// process goroutine that happened to be driving.
+	// runErr is the limit that ended the drive, if one did.
+	runErr error
+	// runPanic holds an event callback's panic recovered on a shard runner
+	// (runWindow); MultiKernel.Run re-raises it on its own goroutine. A
+	// standalone kernel never sets it: the panic escapes Run by itself.
 	runPanic any
 	events   uint64
 	stopped  bool
@@ -154,10 +148,9 @@ func NewKernel(cfg Config) *Kernel {
 		cfg.MaxEvents = 50_000_000
 	}
 	return &Kernel{
-		cfg:      cfg,
-		horizon:  timeMax,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		mainWake: make(chan struct{}),
+		cfg:     cfg,
+		horizon: timeMax,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -264,7 +257,7 @@ func (k *Kernel) Choose(n int) int {
 // ChooseMeta resolves one metadata-carrying choice point with n
 // alternatives. With a MetaChooser configured it receives the delivery
 // metadata alongside the arity; otherwise the call degrades to Choose(n),
-// so drivers that only install the plain Chooser keep working unchanged.
+// so drivers that only install the plain Chooser keep working as before.
 func (k *Kernel) ChooseMeta(n int, m ChoiceMeta) int {
 	if k.cfg.MetaChooser == nil {
 		return k.Choose(n)
@@ -447,8 +440,8 @@ func (k *Kernel) recycle(e *event) {
 	k.free = append(k.free, e)
 }
 
-// Stop aborts the run after the current event completes. Parked processes
-// are left suspended; Run reports them.
+// Stop aborts the run after the current event completes. Run reports no
+// deadlock for a stopped run; processes still parked are unwound (see Run).
 func (k *Kernel) Stop() { k.stopped = true }
 
 // ProcState describes where a process is in its lifecycle.
@@ -465,14 +458,21 @@ const (
 // Proc is a simulated process. The function passed to Spawn receives its
 // Proc and uses it for all blocking interactions with the simulation.
 type Proc struct {
-	ID    int
-	Name  string
-	k     *Kernel
-	wake  chan struct{}
+	ID   int
+	Name string
+	k    *Kernel
+	// next switches from the driver into the process's coroutine and returns
+	// when it parks or finishes; yield is the switch back (false once stop
+	// has been called); stop unwinds a suspended coroutine. See iter.Pull.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 	state ProcState
 	// blockReason is a human-readable description of what the process is
-	// waiting for; surfaced by deadlock reports.
+	// waiting for, and blockN (when non-negative) a number that completes it
+	// (see ParkN); surfaced by deadlock reports.
 	blockReason string
+	blockN      int
 	err         error
 }
 
@@ -493,13 +493,20 @@ func (p *Proc) BlockReason() string {
 	if p.state != ProcParked {
 		return ""
 	}
+	if p.blockN >= 0 {
+		return p.blockReason + " " + strconv.Itoa(p.blockN)
+	}
 	return p.blockReason
 }
+
+// reclaimed is the panic value that unwinds a process still parked when its
+// run ends; Spawn's wrapper swallows it.
+type reclaimed struct{}
 
 // Spawn creates a process that starts executing fn at the current virtual
 // time. It may be called before Run or from inside the simulation.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{ID: len(k.procs), Name: name, k: k, wake: make(chan struct{})}
+	p := &Proc{ID: len(k.procs), Name: name, k: k}
 	k.procs = append(k.procs, p)
 	if k.mk != nil && !k.winLog {
 		// Serial-phase spawns record global order for error precedence.
@@ -507,57 +514,27 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		// order — acceptable, and dsm-level runs never spawn mid-window.)
 		k.mk.procs = append(k.mk.procs, p)
 	}
-	go func() {
-		<-p.wake // wait to be scheduled for the first time
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.err = fmt.Errorf("sim: process %s panicked: %v", p.Name, r)
-				}
-			}()
-			fn(p)
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.state = ProcDone
+			if r := recover(); r != nil && r != (reclaimed{}) {
+				p.err = fmt.Errorf("sim: process %s panicked: %v", p.Name, r)
+			}
 		}()
-		p.state = ProcDone
-		// A finished process holds the baton; keep executing events until it
-		// moves to another goroutine, then let this one exit.
-		if k.drive(p) == driveEnd {
-			k.mainWake <- struct{}{}
-		}
-	}()
+		fn(p)
+	})
 	k.atResume(k.now, p)
 	return p
 }
 
-// driveResult says how a drive call ended.
-type driveResult int
-
-const (
-	// driveSelf: an event resumed the driving process itself — it keeps
-	// running with zero goroutine hand-offs.
-	driveSelf driveResult = iota
-	// driveHandoff: the baton (and the loop) moved to another process's
-	// goroutine; the caller just waits for its own wakeup.
-	driveHandoff
-	// driveEnd: the run is over (queue drained, limit, Stop, or an event
-	// callback panicked). Only the goroutine that observed the end gets
-	// this result, and it must return the baton to Run over mainWake.
-	driveEnd
-)
-
-// drive executes the event loop on the calling goroutine until an event
-// resumes self (driveSelf — zero goroutine hand-offs: the park/continue
-// round-trip through channels that the old kernel paid on every wakeup
-// disappears), an event resumes another process (driveHandoff — the baton
-// moved), or the run is over (driveEnd). It must only be called by the
-// goroutine that currently holds the baton, and no kernel field it touches
-// is accessed concurrently: after a hand-off the caller only waits on its
-// own wake channel.
-func (k *Kernel) drive(self *Proc) driveResult {
-	for {
-		if k.stopped || (k.nowQ.Len() == 0 && k.queue.len() == 0) {
-			k.endRun(nil)
-			return driveEnd
-		}
+// drive executes events on the calling goroutine until the queue drains, the
+// next event lies at or beyond the horizon, a limit trips (runErr) or Stop
+// is called. It is the only code that pops events: callbacks run in place,
+// and an event that resumes a process switches into its coroutine and
+// continues here when the process parks or finishes.
+func (k *Kernel) drive() {
+	for !k.stopped {
 		// The next event is the (time, seq)-least of the wheel front and
 		// the now-queue front. Every now-queue entry is at the current
 		// instant; wheel entries at the same instant were scheduled earlier
@@ -568,13 +545,12 @@ func (k *Kernel) drive(self *Proc) driveResult {
 		var e *event
 		if k.nowQ.Len() == 0 {
 			// The horizon is exclusive: an event at or beyond it stays
-			// queued and the baton returns (window boundary). Standalone
+			// queued and drive returns (window boundary). Standalone
 			// kernels have horizon timeMax, which no event can reach. The
 			// bounded peek also keeps the wheel cursor below the horizon, so
 			// the barrier can still file deliveries at any later instant.
-			if we := k.queue.peekWithin(k.horizon - 1); we == nil {
-				k.endRun(nil)
-				return driveEnd
+			if k.queue.peekWithin(k.horizon-1) == nil {
+				return
 			}
 			e = k.queue.take()
 		} else if we := k.queue.peekWithin(k.now); we != nil && we.seq < k.nowQ.Front().seq {
@@ -587,56 +563,35 @@ func (k *Kernel) drive(self *Proc) driveResult {
 			k.beginRec(e)
 		}
 		if k.cfg.MaxTime > 0 && k.now > k.cfg.MaxTime {
-			k.endRun(&LimitError{What: "time", Events: k.events, Time: k.now})
-			return driveEnd
+			k.runErr = &LimitError{What: "time", Events: k.events, Time: k.now}
+			return
 		}
 		k.events++
 		if k.events > k.cfg.MaxEvents {
-			k.endRun(&LimitError{What: "event", Events: k.events, Time: k.now})
-			return driveEnd
+			k.runErr = &LimitError{What: "event", Events: k.events, Time: k.now}
+			return
 		}
 		fn, p := e.fn, e.proc
 		k.recycle(e)
 		if p == nil {
-			if !k.callEvent(fn) {
-				k.endRun(nil)
-				return driveEnd
-			}
-			continue
+			fn()
+		} else if p.state != ProcDone { // else a stale wakeup for a finished process
+			p.state = ProcRunning
+			p.next()
 		}
-		if p.state == ProcDone {
-			continue // stale wakeup for a finished process
-		}
-		if p == self {
-			return driveSelf
-		}
-		p.state = ProcRunning
-		p.wake <- struct{}{}
-		return driveHandoff
 	}
 }
 
-// callEvent runs one event callback, catching a panic at the event
-// boundary so it cannot unwind into (and be blamed on) whichever process
-// goroutine happens to be driving. It reports whether the callback
-// completed; on false the recovered value is in runPanic and Run re-raises
-// it on its own goroutine — the behaviour event-handler panics always had.
-func (k *Kernel) callEvent(fn func()) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			k.runPanic = r
+// reclaim unwinds every process still suspended now that the run is over, so
+// no coroutine outlives it: stop makes the pending yield return false, Park
+// turns that into a reclaimed panic, and Spawn's wrapper swallows it. A
+// process that never started simply never will.
+func (k *Kernel) reclaim() {
+	for _, p := range k.procs {
+		if p.state != ProcDone {
+			p.stop()
+			p.state = ProcDone
 		}
-	}()
-	fn()
-	return true
-}
-
-// endRun records the run-ending error, if any; the first error wins. Only
-// the goroutine holding the baton calls it, exactly once per run (once per
-// window boundary for a shard kernel).
-func (k *Kernel) endRun(err error) {
-	if err != nil && k.runErr == nil {
-		k.runErr = err
 	}
 }
 
@@ -686,7 +641,7 @@ func (k *Kernel) beginWindow(horizon Time) {
 // extendWindow moves an already-open window's horizon forward for the next
 // sub-round of an adaptively extended window. The logs keep accumulating
 // and the peek cache stays valid: no barrier ran in between, so no queued
-// key changed and nothing was filed.
+// key moved and nothing was filed.
 func (k *Kernel) extendWindow(horizon Time) {
 	k.horizon = horizon
 }
@@ -700,15 +655,18 @@ func (k *Kernel) endWindow() {
 
 // runWindow executes the shard's events below the horizon set by
 // beginWindow/extendWindow and returns with the sub-round's records
-// closed. Called by the shard runner goroutine (or the coordinator inline);
-// the baton travels through process goroutines as usual and comes back
-// over mainWake at the horizon. Logging stays open across sub-rounds —
-// the coordinator's endWindow closes it.
+// closed. Called by the shard runner goroutine (or the coordinator inline).
+// Logging stays open across sub-rounds — the coordinator's endWindow closes
+// it. An event callback's panic must not take a runner goroutine (and with
+// it the program) down, so it is parked in runPanic for MultiKernel.Run.
 func (k *Kernel) runWindow() {
-	if k.drive(nil) != driveEnd {
-		<-k.mainWake
-	}
-	k.closeRec()
+	defer func() {
+		if r := recover(); r != nil {
+			k.runPanic = r
+		}
+		k.closeRec()
+	}()
+	k.drive()
 }
 
 // nextEventBound returns a lower bound on the virtual time of the shard's
@@ -739,30 +697,20 @@ func (k *Kernel) nextEventBound() (Time, bool) {
 
 // Park suspends the calling process until something calls Ready on it.
 // reason is shown in deadlock reports. It must only be called from the
-// process's own goroutine.
-//
-// The parking process does not hand control to a scheduler goroutine: it
-// becomes the driver and executes events in place until its own resumption
-// surfaces (no goroutine switch at all) or the baton moves to another
-// process (one direct switch).
-func (p *Proc) Park(reason string) {
+// process's own body: it switches back to the driver, which resumes the
+// process when its wakeup event surfaces.
+func (p *Proc) Park(reason string) { p.ParkN(reason, -1) }
+
+// ParkN is Park with a number completing the label: a deadlock report shows
+// "reason n". The text is built only if such a report is, so a caller that
+// parks once per numbered phase (a barrier epoch) formats nothing per park.
+// A negative n means no number.
+func (p *Proc) ParkN(reason string, n int) {
 	p.state = ProcParked
-	p.blockReason = reason
-	k := p.k
-	switch k.drive(p) {
-	case driveSelf:
-		// Resumed in place; fall through.
-	case driveEnd:
-		// The run is over with this process still parked (deadlock, limit,
-		// or Stop); return the baton to Run and stay suspended — Run
-		// reports the process via its recorded block reason.
-		k.mainWake <- struct{}{}
-		<-p.wake
-	case driveHandoff:
-		<-p.wake
+	p.blockReason, p.blockN = reason, n
+	if !p.yield(struct{}{}) {
+		panic(reclaimed{}) // the run ended with this process still parked
 	}
-	p.state = ProcRunning
-	p.blockReason = ""
 }
 
 // Relabel replaces the parked calling-context process's block reason — used
@@ -771,7 +719,7 @@ func (p *Proc) Park(reason string) {
 // rather than the one the process first parked on. No-op unless p is parked.
 func (p *Proc) Relabel(reason string) {
 	if p.state == ProcParked {
-		p.blockReason = reason
+		p.blockReason, p.blockN = reason, -1
 	}
 }
 
@@ -809,7 +757,7 @@ func (p *Proc) Sleep(d Time) {
 	p.Park("sleep")
 }
 
-// Yield gives other ready processes and events at the current time a chance
+// Yield gives other ready processes and events at the current time a turn
 // to run.
 func (p *Proc) Yield() { p.Sleep(0) }
 
@@ -839,18 +787,13 @@ func (e *LimitError) Error() string {
 
 // Run executes the simulation until the event queue is empty, a limit trips,
 // or Stop is called. It returns the first process error (panic) encountered,
-// a DeadlockError if processes remain parked, or nil.
+// a DeadlockError if processes remain parked, or nil. A panic in an event
+// callback escapes Run. However the run ends, processes still parked are
+// unwound before Run returns (their deferred calls run; no goroutine is
+// left behind).
 func (k *Kernel) Run() error {
-	// Run's goroutine drives until the first process resumption; from then
-	// on the baton travels between process goroutines and comes back over
-	// mainWake when the run is over (the receive is the synchronisation
-	// point for everything read below).
-	if k.drive(nil) != driveEnd {
-		<-k.mainWake
-	}
-	if k.runPanic != nil {
-		panic(k.runPanic)
-	}
+	defer k.reclaim()
+	k.drive()
 	if k.runErr != nil {
 		return k.runErr
 	}
@@ -862,17 +805,21 @@ func (k *Kernel) Run() error {
 	if k.stopped {
 		return nil
 	}
-	var blocked []string
-	for _, p := range k.procs {
-		if p.state == ProcParked {
-			blocked = append(blocked, fmt.Sprintf("%s: %s", p.Name, p.blockReason))
-		}
-	}
-	if len(blocked) > 0 {
+	if blocked := appendBlocked(nil, k.procs); len(blocked) > 0 {
 		sort.Strings(blocked)
 		return &DeadlockError{Time: k.now, Blocked: blocked}
 	}
 	return nil
+}
+
+// appendBlocked appends a "name: reason" entry for every parked process.
+func appendBlocked(blocked []string, procs []*Proc) []string {
+	for _, p := range procs {
+		if p.state == ProcParked {
+			blocked = append(blocked, p.Name+": "+p.BlockReason())
+		}
+	}
+	return blocked
 }
 
 // QueueFingerprint folds the kernel's future-event profile into h: for every

@@ -464,9 +464,9 @@ func TestRelabelNamesStuckPhase(t *testing.T) {
 	}
 }
 
-// TestParkSelfResumeNoHandoff: a process whose wakeup is the next event
-// resumes by driving the loop itself — the goroutine count cannot grow
-// while it round-trips through Park.
+// TestParkSelfResumeNoHandoff: a lone process whose own wakeup is always the
+// next event still round-trips through the driver on every Park — there is no
+// resume-in-place path — and comes back at exactly the times it asked for.
 func TestParkSelfResumeNoHandoff(t *testing.T) {
 	k := NewKernel(Config{Seed: 1})
 	var times []int64
@@ -482,19 +482,74 @@ func TestParkSelfResumeNoHandoff(t *testing.T) {
 	if fmt.Sprint(times) != "[1 3 6 10 15]" {
 		t.Fatalf("times = %v", times)
 	}
+	if k.Events() != 6 {
+		t.Fatalf("events = %d, want 6 (the start and five wakeups, each popped by Run)", k.Events())
+	}
+}
+
+// TestRunIndependentOfGOMAXPROCS: coroutine switches never go through the Go
+// scheduler, so a single-kernel run is the same run on one core and on four.
+func TestRunIndependentOfGOMAXPROCS(t *testing.T) {
+	run := func(procs int) (string, uint64) {
+		setProcs(t, procs)
+		k := NewKernel(Config{Seed: 11})
+		q := NewQueue[int](k, "q")
+		var log []string
+		for i := 0; i < 4; i++ {
+			k.Spawn(fmt.Sprintf("prod%d", i), func(p *Proc) {
+				for j := 0; j < 25; j++ {
+					p.Sleep(Time(k.Rand().Intn(40)))
+					q.Push(j)
+				}
+			})
+			k.Spawn(fmt.Sprintf("cons%d", i), func(p *Proc) {
+				for j := 0; j < 25; j++ {
+					log = append(log, fmt.Sprintf("%s<%d@%d", p.Name, q.Pop(p), p.Now()))
+				}
+			})
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(log, ","), k.Events()
+	}
+	order1, events1 := run(1)
+	order4, events4 := run(4)
+	if order1 != order4 || events1 != events4 {
+		t.Fatalf("GOMAXPROCS changed the run: %d vs %d events\n%s\n%s", events1, events4, order1, order4)
+	}
+}
+
+// TestNestedSpawnPanicBlamesChild: a process created from inside another
+// process is a coroutine of the driver, not of its spawner — its panic is its
+// own error, and the spawner runs on to completion.
+func TestNestedSpawnPanicBlamesChild(t *testing.T) {
+	k := NewKernel(Config{Seed: 1})
+	parentDone := false
+	var child *Proc
+	parent := k.Spawn("parent", func(p *Proc) {
+		child = k.Spawn("child", func(*Proc) { panic("child boom") })
+		p.Sleep(10)
+		parentDone = true
+	})
+	err := k.Run()
+	if err == nil || err != child.Err() || !strings.Contains(err.Error(), "process child panicked: child boom") {
+		t.Fatalf("err = %v, want the child's panic", err)
+	}
+	if parent.Err() != nil || !parentDone {
+		t.Fatalf("spawner blamed or cut short: err=%v done=%v", parent.Err(), parentDone)
+	}
 }
 
 // TestEventCallbackPanicEscapesRun: a panic in an event callback must
-// escape Run on Run's own goroutine — never be recorded as the error of
-// whichever process goroutine happened to be driving the loop when the
-// event fired.
+// escape Run — never be recorded as the error of a process that merely
+// happened to be parked when the event fired, even though that process is
+// unwound on Run's way out.
 func TestEventCallbackPanicEscapesRun(t *testing.T) {
 	k := NewKernel(Config{Seed: 1})
 	var innocent *Proc
 	innocent = k.Spawn("innocent", func(p *Proc) {
-		// Parked across t=50, so this process's goroutine is the driver
-		// when the panicking event fires.
-		p.Sleep(100)
+		p.Sleep(100) // parked across t=50
 	})
 	k.Schedule(50, func() { panic("event boom") })
 	defer func() {
@@ -506,9 +561,56 @@ func TestEventCallbackPanicEscapesRun(t *testing.T) {
 			t.Fatalf("recovered %v, want the event's own panic value", r)
 		}
 		if innocent.Err() != nil {
-			t.Fatalf("innocent driving process blamed for the event panic: %v", innocent.Err())
+			t.Fatalf("innocent parked process blamed for the event panic: %v", innocent.Err())
 		}
 	}()
 	k.Run()
 	t.Fatal("Run returned normally")
+}
+
+// BenchmarkHandoff times one Await/Ready hand-off between two processes (one
+// wakeup event, two coroutine switches), in the ping-pong shape
+// benchmark/layers.go reports as sim.handoff_ns.
+func BenchmarkHandoff(b *testing.B) {
+	k := NewKernel(Config{Seed: 1, MaxEvents: ^uint64(0)})
+	var ping, pong *Proc
+	var pingTurn, pongTurn bool
+	rounds := (b.N + 1) / 2
+	pong = k.Spawn("pong", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Await(&pongTurn, "pong")
+			pongTurn, pingTurn = false, true
+			ping.Ready()
+		}
+	})
+	ping = k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			pongTurn = true
+			pong.Ready()
+			p.Await(&pingTurn, "ping")
+			pingTurn = false
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSelfResume times one process sleeping in a loop: the shape a
+// resume-in-place fast path would serve with no switch at all, and the single
+// driver serves with two.
+func BenchmarkSelfResume(b *testing.B) {
+	k := NewKernel(Config{Seed: 1, MaxEvents: ^uint64(0)})
+	k.Spawn("p", func(p *Proc) {
+		for n := 0; n < b.N; n++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
 }
