@@ -31,9 +31,11 @@ type singleState struct {
 	v       vclock.Masked
 	last    core.Access
 	hasLast bool
-	// lastClock is the state-owned buffer backing the retained last access;
-	// scratch backs returned reports (see core.AreaState.OnAccess).
+	// lastClock and lastLocks are the state-owned buffers backing the
+	// retained last access; scratch backs returned reports (see
+	// core.AreaState.OnAccess).
 	lastClock vclock.Masked
+	lastLocks []int
 	scratch   core.ReportScratch
 }
 
@@ -61,6 +63,7 @@ func (s *singleState) OnAccess(acc core.Access, home int, absorb vclock.Masked) 
 	s.last = acc
 	s.last.Clock = s.lastClock.V
 	s.last.ClockNZ = s.lastClock.M
+	s.last.Locks = core.CopyLocks(&s.lastLocks, acc.Locks)
 	s.hasLast = true
 	return rep, s.v.CopyInto(absorb)
 }

@@ -50,16 +50,18 @@ type epochState struct {
 	lastW, lastR       core.Access
 	hasLastW, hasLastR bool
 	lwClock, lrClock   vclock.VC
+	lwLocks, lrLocks   []int
 	scratch            core.ReportScratch
 }
 
-// setLast records acc into a last-access slot, copying its clock into the
-// slot's state-owned buffer.
-func (s *epochState) setLast(slot *core.Access, clk *vclock.VC, has *bool, acc core.Access) {
+// setLast records acc into a last-access slot, copying its clock and
+// held-lock list into the slot's state-owned buffers.
+func (s *epochState) setLast(slot *core.Access, clk *vclock.VC, locks *[]int, has *bool, acc core.Access) {
 	*clk = acc.Clock.CopyInto(*clk)
 	*slot = acc
 	slot.Clock = *clk
 	slot.ClockNZ = nil // the caller's mask aliases its scratch; drop it
+	slot.Locks = core.CopyLocks(locks, acc.Locks)
 	*has = true
 }
 
@@ -91,7 +93,7 @@ func (s *epochState) OnAccess(acc core.Access, home int, absorb vclock.Masked) (
 		s.r = epoch{}
 		s.rv = nil
 		s.homeTick++
-		s.setLast(&s.lastW, &s.lwClock, &s.hasLastW, acc)
+		s.setLast(&s.lastW, &s.lwClock, &s.lwLocks, &s.hasLastW, acc)
 	default: // Read
 		if !s.w.isZero() && !s.w.happensBefore(acc.Clock) {
 			rep = mk(&s.lastW, s.hasLastW)
@@ -114,7 +116,7 @@ func (s *epochState) OnAccess(acc core.Access, home int, absorb vclock.Masked) (
 			}
 			s.r = epoch{}
 		}
-		s.setLast(&s.lastR, &s.lrClock, &s.hasLastR, acc)
+		s.setLast(&s.lastR, &s.lrClock, &s.lrLocks, &s.hasLastR, acc)
 	}
 	return rep, vclock.Masked{}
 }

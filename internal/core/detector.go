@@ -44,10 +44,22 @@ type Access struct {
 	// spans, never to decide values.
 	ClockNZ vclock.Mask
 	// Locks are the user-level locks held by the initiator, for
-	// lockset-style detectors. Nil when none.
+	// lockset-style detectors. Nil when none. Like Clock, the list may alias
+	// the issuing process's live state: it is stable while the operation is
+	// handled, and whoever keeps the Access longer copies it (CopyLocks).
 	Locks []int
 	// Time is the virtual time the operation was checked.
 	Time sim.Time
+}
+
+// CopyLocks snapshots an access's held-lock list into *buf, a buffer the
+// retainer owns and reuses. A nil list stays nil.
+func CopyLocks(buf *[]int, locks []int) []int {
+	if locks == nil {
+		return nil
+	}
+	*buf = append((*buf)[:0], locks...)
+	return *buf
 }
 
 // String renders the access compactly for reports.
@@ -90,14 +102,17 @@ func (r Report) String() string {
 // per-state scratch (the zero-allocation contract); anything that retains a
 // report past the next OnAccess call on the same state must Clone it first.
 //
-// Current.Clock is copied too: the initiator's clock rides in a per-process
-// scratch buffer that the process's *next* operation overwrites, so a
-// retained report must own its bytes.
+// Current.Clock and Current.Locks are copied too: they alias the initiating
+// process's live clock and held-lock list, which its *next* operation
+// changes, so a retained report must own its bytes.
 func (r Report) Clone() Report {
 	c := r
 	c.StoredClock = r.StoredClock.Copy()
 	c.Current.Clock = r.Current.Clock.Copy()
 	c.Current.ClockNZ = nil
+	if r.Current.Locks != nil {
+		c.Current.Locks = append([]int(nil), r.Current.Locks...)
+	}
 	if r.Prior != nil {
 		p := *r.Prior
 		p.Clock = r.Prior.Clock.Copy()
@@ -155,10 +170,7 @@ func (s *ReportScratch) Fill(detector string, acc Access, stored vclock.VC, prio
 		b.prior = *prior
 		b.prior.Clock = b.priorClock
 		b.prior.ClockNZ = nil
-		if prior.Locks != nil {
-			b.priorLocks = append(b.priorLocks[:0], prior.Locks...)
-			b.prior.Locks = b.priorLocks
-		}
+		b.prior.Locks = CopyLocks(&b.priorLocks, prior.Locks)
 		b.rep.Prior = &b.prior
 	}
 	return &b.rep
@@ -371,6 +383,9 @@ func (c *Collector) own(r *Report) {
 	r.StoredClock = c.intern.get(r.StoredClock)
 	r.Current.Clock = c.intern.get(r.Current.Clock)
 	r.Current.ClockNZ = nil
+	if r.Current.Locks != nil {
+		r.Current.Locks = append([]int(nil), r.Current.Locks...)
+	}
 	if r.Prior == nil {
 		return
 	}

@@ -94,10 +94,11 @@ type vwAreaState struct {
 	elide bool
 
 	// lastWrite and lastRead provide Prior context in reports; their Clock
-	// fields point into the state-owned lwClock/lrClock buffers.
+	// and Locks fields point into the state-owned buffers below.
 	lastWrite, lastRead       Access
 	hasLastWrite, hasLastRead bool
 	lwClock, lrClock          vclock.Masked
+	lwLocks, lrLocks          []int
 
 	// scratch backs returned reports (borrowed; see AreaState.OnAccess).
 	scratch ReportScratch
@@ -144,7 +145,7 @@ func (s *vwAreaState) OnAccess(acc Access, home int, absorb vclock.Masked) (*Rep
 			s.v.Tick(home)
 		}
 		s.wIsV = true
-		s.setLast(&s.lastWrite, &s.lwClock, &s.hasLastWrite, acc)
+		s.setLast(&s.lastWrite, &s.lwClock, &s.lwLocks, &s.hasLastWrite, acc)
 		// The initiator absorbs the merged clock on the ack (production
 		// mode; the runtime decides whether to apply it). A covering writer
 		// with no home tick already *is* the merged clock: elide as covered.
@@ -186,7 +187,7 @@ func (s *vwAreaState) OnAccess(acc Access, home int, absorb vclock.Masked) (*Rep
 			s.v.Merge(in)
 			covered = ord == vclock.After || ord == vclock.Equal
 		}
-		s.setLast(&s.lastRead, &s.lrClock, &s.hasLastRead, acc)
+		s.setLast(&s.lastRead, &s.lrClock, &s.lrLocks, &s.hasLastRead, acc)
 		// The reply carries W: the reader absorbs the clock of the write it
 		// observed (reads-from edge) — elided as covered when the reader
 		// provably observed that write already.
@@ -198,13 +199,14 @@ func (s *vwAreaState) OnAccess(acc Access, home int, absorb vclock.Masked) (*Rep
 }
 
 // setLast records acc into a state-owned last-access slot, copying its
-// clock (and mask) into the slot's buffer so the caller's clock is not
-// retained.
-func (s *vwAreaState) setLast(slot *Access, clk *vclock.Masked, has *bool, acc Access) {
+// clock (and mask) and held-lock list into the slot's buffers so the
+// caller's are not retained.
+func (s *vwAreaState) setLast(slot *Access, clk *vclock.Masked, locks *[]int, has *bool, acc Access) {
 	*clk = maskedClock(acc).CopyInto(*clk)
 	*slot = acc
 	slot.Clock = clk.V
 	slot.ClockNZ = clk.M
+	slot.Locks = CopyLocks(locks, acc.Locks)
 	*has = true
 }
 

@@ -147,7 +147,8 @@ type Cluster struct {
 	sys        *rdma.System
 	col        *core.Collector
 	rec        *trace.Recorder
-	procs      []*Proc
+	procs      []*Proc // the running processes (nodes given a program)
+	byID       []*Proc // indexed by process id; nil where no program runs
 	bar        *barrierCoord
 	ran        bool
 	// look is the conservative-window lookahead of the latency model,
@@ -355,6 +356,7 @@ func (c *Cluster) RunEach(programs []Program) (*Result, error) {
 	}
 
 	errs := make([]error, c.cfg.Procs)
+	c.byID = make([]*Proc, c.cfg.Procs)
 	for i := 0; i < c.cfg.Procs; i++ {
 		if programs[i] == nil {
 			continue
@@ -366,6 +368,7 @@ func (c *Cluster) RunEach(programs []Program) (*Result, error) {
 			literal: rcfg.Protocol == rdma.ProtocolLiteral,
 		}
 		c.procs = append(c.procs, p)
+		c.byID[i] = p
 		prog := programs[i]
 		idx := i
 		c.kernelFor(i).Spawn(fmt.Sprintf("P%d", i), func(sp *sim.Proc) {
@@ -384,6 +387,9 @@ func (c *Cluster) RunEach(programs []Program) (*Result, error) {
 	} else {
 		runErr = c.kernel.Run()
 		dur, events = c.kernel.Now(), c.kernel.Events()
+	}
+	if c.bar.merged != nil { // a deadlock or an event cap left the epoch open: no release will return its clock
+		c.sys.NIC(0).AbandonBarrierClock(c.bar.merged)
 	}
 	if c.inj != nil {
 		// The injector's bookkeeping events replicate per shard; subtract
@@ -428,10 +434,12 @@ func (c *Cluster) RunEach(programs []Program) (*Result, error) {
 // userHandler dispatches application-level messages (barrier protocol).
 func (c *Cluster) userHandler(m *network.Message) {
 	switch pl := m.Payload.(type) {
-	case *barrierArrive:
-		c.bar.arrive(pl)
-	case *barrierRelease:
-		c.procByID(pl.proc).barrierRelease(pl.clock, pl.obs)
+	case *rdma.BarrierMsg:
+		if pl.Merged == nil {
+			c.bar.arrive(pl)
+		} else {
+			c.procByID(pl.Proc).barrierRelease(pl)
+		}
 	default:
 		panic(fmt.Sprintf("dsm: unexpected user payload %T", m.Payload))
 	}
@@ -440,11 +448,8 @@ func (c *Cluster) userHandler(m *network.Message) {
 // nodeCrashed is the injector's owner-shard crash hook: flag the process so
 // fault-aware programs can observe the crash (Proc.Crashed) and stop issuing.
 func (c *Cluster) nodeCrashed(node int) {
-	for _, p := range c.procs {
-		if p.id == node {
-			p.crashed = true
-			return
-		}
+	if p := c.byID[node]; p != nil {
+		p.crashed = true
 	}
 }
 
@@ -453,21 +458,16 @@ func (c *Cluster) nodeCrashed(node int) {
 // fresh masked clock column — its pre-crash clock died with its volatile
 // state, exactly like a real rejoining rank.
 func (c *Cluster) nodeRestarted(node int) {
-	for _, p := range c.procs {
-		if p.id == node {
-			p.crashed = false
-			p.restarted = true
-			p.clock = vclock.NewMasked(c.cfg.Procs)
-			return
-		}
+	if p := c.byID[node]; p != nil {
+		p.crashed = false
+		p.restarted = true
+		p.clock = vclock.NewMasked(c.cfg.Procs)
 	}
 }
 
 func (c *Cluster) procByID(id int) *Proc {
-	for _, p := range c.procs {
-		if p.id == id {
-			return p
-		}
+	if p := c.byID[id]; p != nil {
+		return p
 	}
 	panic(fmt.Sprintf("dsm: no process %d", id))
 }

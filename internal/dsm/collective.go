@@ -5,6 +5,7 @@ import (
 
 	"dsmrace/internal/memory"
 	"dsmrace/internal/network"
+	"dsmrace/internal/rdma"
 	"dsmrace/internal/trace"
 	"dsmrace/internal/vclock"
 )
@@ -13,68 +14,57 @@ import (
 // processes must call Barrier the same number of times. The coordinator
 // lives on node 0's NIC; arrivals carry each process's clock and releases
 // carry the merge, so the barrier is a full happens-before exchange (which
-// is what makes barrier-phased programs race-free under the detector). ----
+// is what makes barrier-phased programs race-free under the detector). Both
+// directions ride in pooled rdma.BarrierMsg records, and every release of an
+// epoch shares the one merged clock the coordinator built for it. ----
 
-type barrierArrive struct {
-	proc  int
-	epoch int
-	clock vclock.VC
-	// obs is the arriver's causal observation clock (fresh copy; nil unless
-	// causal coherence) — the release half of the barrier's causal edge.
-	obs vclock.VC
-}
-
-type barrierRelease struct {
-	proc  int
-	clock vclock.VC
-	// obs is the merge of every participant's observation clock (fresh copy
-	// per release; nil unless causal coherence).
-	obs vclock.VC
-}
-
+// barrierCoord collects the arrivals of the one open epoch: a process cannot
+// enter the next epoch before this one has released it.
 type barrierCoord struct {
 	c      *Cluster
-	epochs map[int][]*barrierArrive
+	epoch  int
+	procs  []int              // participants so far, in arrival order
+	merged *rdma.BarrierClock // their clocks, merged; nil while no epoch is open
+	obs    vclock.VC          // their causal observation clocks, merged (nil unless causal)
 }
 
-func (b *barrierCoord) arrive(a *barrierArrive) {
-	if b.epochs == nil {
-		b.epochs = make(map[int][]*barrierArrive)
+func (b *barrierCoord) arrive(a *rdma.BarrierMsg) {
+	nic := b.c.sys.NIC(0)
+	if b.merged == nil {
+		b.epoch, b.merged = a.Epoch, nic.GrabBarrierClock(len(b.c.procs))
+	} else if a.Epoch != b.epoch {
+		panic(fmt.Sprintf("dsm: P%d arrived at barrier %d while barrier %d is open", a.Proc, a.Epoch, b.epoch))
 	}
-	b.epochs[a.epoch] = append(b.epochs[a.epoch], a)
-	if len(b.epochs[a.epoch]) < len(b.c.procs) {
-		return
-	}
-	arrivals := b.epochs[a.epoch]
-	delete(b.epochs, a.epoch)
-	merged := vclock.New(b.c.cfg.Procs)
-	var mergedObs vclock.VC
-	for _, ar := range arrivals {
-		merged.Merge(ar.clock)
-		if ar.obs != nil {
-			if mergedObs == nil {
-				mergedObs = ar.obs // fresh copy shipped in the arrival; adopt it
-			} else {
-				mergedObs.Merge(ar.obs)
-			}
+	b.procs = append(b.procs, a.Proc)
+	b.merged.V.Merge(a.Clock)
+	if a.Obs != nil {
+		if b.obs == nil {
+			b.obs = a.Obs // fresh copy shipped in the arrival; adopt it
+		} else {
+			b.obs.Merge(a.Obs)
 		}
 	}
+	nic.ReleaseBarrierMsg(a)
+	if len(b.procs) < len(b.c.procs) {
+		return
+	}
 	now := b.c.kernelFor(0).Now()
-	for _, ar := range arrivals {
+	for _, proc := range b.procs {
 		// Record the barrier at the merge instant so the verifier sees all
 		// participants' barrier events before any post-barrier access.
 		if b.c.rec != nil {
-			b.c.rec.Append(trace.Event{Kind: trace.EvBarrier, Proc: ar.proc, Epoch: a.epoch, Time: now})
+			b.c.rec.Append(trace.Event{Kind: trace.EvBarrier, Proc: proc, Epoch: b.epoch, Time: now})
 		}
-		size := network.HeaderBytes + merged.WireSize()
-		var obs vclock.VC
-		if mergedObs != nil {
-			obs = mergedObs.Copy()
-			size += obs.WireSize()
+		r := nic.GrabBarrierMsg()
+		r.Proc, r.Merged = proc, b.merged
+		size := network.HeaderBytes + b.merged.V.WireSize()
+		if b.obs != nil {
+			r.Obs = b.obs.Copy()
+			size += r.Obs.WireSize()
 		}
-		b.c.sys.NIC(0).SendUser(network.NodeID(ar.proc), network.KindBarrier,
-			size, &barrierRelease{proc: ar.proc, clock: merged.Copy(), obs: obs})
+		nic.SendUser(network.NodeID(proc), network.KindBarrier, size, r)
 	}
+	b.procs, b.merged, b.obs = b.procs[:0], nil, nil
 }
 
 // Barrier blocks until every running process has entered the same barrier
@@ -83,26 +73,30 @@ func (p *Proc) Barrier() {
 	p.epoch++
 	p.clock.Tick(p.id)
 	p.barrierDone = false
-	obs := p.c.sys.NIC(p.id).CausalObs()
-	size := network.HeaderBytes + p.clock.V.WireSize()
-	if obs != nil {
-		size += obs.WireSize()
+	nic := p.c.sys.NIC(p.id)
+	a := nic.GrabBarrierMsg()
+	a.Proc, a.Epoch, a.Clock, a.Obs = p.id, p.epoch, p.clock.V, nic.CausalObs()
+	size := network.HeaderBytes + a.Clock.WireSize()
+	if a.Obs != nil {
+		size += a.Obs.WireSize()
 	}
-	p.c.sys.NIC(p.id).SendUser(0, network.KindBarrier, size,
-		&barrierArrive{proc: p.id, epoch: p.epoch, clock: p.clock.V.Copy(), obs: obs})
+	nic.SendUser(0, network.KindBarrier, size, a)
 	for !p.barrierDone {
 		p.sp.ParkN("barrier", p.epoch)
 	}
-	// The merged barrier clock has contributions from every process: merge
-	// it densely (the mask saturates, as it must).
-	p.clock.Merge(vclock.Dense(p.barrierClock))
 }
 
-func (p *Proc) barrierRelease(clk, obs vclock.VC) {
-	// The release runs in this node's own handler context, so the causal
-	// observation merge happens where the protocol state lives.
-	p.c.sys.NIC(p.id).CausalMergeObs(obs)
-	p.barrierClock = clk
+// barrierRelease absorbs the epoch's merged clock and wakes the process. It
+// runs in this node's own handler context, so the causal observation merge
+// happens where the protocol state lives; the process is still parked, so
+// nothing else is using its clock.
+func (p *Proc) barrierRelease(r *rdma.BarrierMsg) {
+	nic := p.c.sys.NIC(p.id)
+	nic.CausalMergeObs(r.Obs)
+	// The merged clock has contributions from every process: merge it
+	// densely (the mask saturates, as it must).
+	p.clock.Merge(vclock.Dense(r.Merged.V))
+	nic.ReleaseBarrierMsg(r)
 	p.barrierDone = true
 	p.sp.Ready()
 }

@@ -11,4 +11,8 @@
 // directory-based write-invalidate as the alternative). Results carry both
 // the network statistics and the protocol's replica statistics, so a
 // workload can be compared across protocols without touching its program.
+//
+// Barriers exchange clocks in the NIC layer's pooled barrier records: an
+// arrival lends the coordinator the parked process's clock, and every
+// release of an epoch shares the one merged clock the coordinator built.
 package dsm

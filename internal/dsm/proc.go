@@ -26,13 +26,12 @@ type Proc struct {
 	lastArea memory.Area
 	// literal records whether the run uses the literal wire protocol, whose
 	// one-way clock messages outlive the issuing operation and therefore
-	// need fresh access-clock copies; the piggyback protocol lets accesses
-	// alias the process clock directly (see newAccess).
+	// need fresh copies; the piggyback protocol lets accesses alias the
+	// process clock and held-lock list directly (see newAccess).
 	literal bool
 
-	epoch        int
-	barrierDone  bool
-	barrierClock vclock.VC
+	epoch       int
+	barrierDone bool
 
 	// Fault-layer state (Config.Faults): crashed marks the node down in the
 	// current schedule; restarted latches true at the first restart, waking
@@ -89,20 +88,15 @@ func (p *Proc) Area(name string) (memory.Area, error) {
 func (p *Proc) newAccess(kind core.AccessKind) core.Access {
 	p.seq++
 	p.clock.Tick(p.id)
-	var locks []int
-	if len(p.held) > 0 {
-		locks = append(locks, p.held...)
-	}
-	// Under the piggyback protocol the access clock aliases the process
-	// clock with no copy at all: the process is parked for the whole round
-	// trip (its clock cannot tick), the home side finishes reading the
-	// clock strictly before it sends the reply, and every retainer — the
-	// detector's last-access slots, cloned reports, the trace recorder —
-	// copies at handling time. The literal protocol ships clocks in
-	// one-way messages that outlive the operation, so it snapshots.
-	snap := p.clock
+	// Under the piggyback protocol the access aliases the process's clock and
+	// held-lock list; the literal protocol's one-way messages outlive the
+	// operation, so it snapshots both (ARCHITECTURE.md, "Who owns the bytes").
+	snap, locks := p.clock, p.held
 	if p.literal {
-		snap = p.clock.Copy()
+		snap, locks = p.clock.Copy(), append([]int(nil), locks...)
+	}
+	if len(locks) == 0 {
+		locks = nil
 	}
 	return core.Access{Proc: p.id, Seq: p.seq, Kind: kind, Clock: snap.V, ClockNZ: snap.M, Locks: locks}
 }
@@ -122,10 +116,9 @@ func (p *Proc) absorb(clk vclock.Masked) {
 // piggybacked clock qualifies: it is the area clock *after* the home merged
 // in the very clock K this process sent — V' = max(V, K) (+ home tick) ≥ K —
 // and the process was parked for the whole round trip, so its clock still
-// equals K and max(K, V') is V' verbatim. By reply time nothing else
-// references either buffer (the pooled reply buffer was detached from its
-// resp, and the in-flight access that aliased the process clock completed),
-// so the process adopts the reply buffer and recycles its old clock.
+// equals K and max(K, V') is V' verbatim. The process adopts the reply
+// buffer and recycles its old clock: by reply time nothing else references
+// either (ARCHITECTURE.md, "Who owns the bytes").
 func (p *Proc) absorbDominant(clk vclock.Masked) {
 	if clk.IsNil() {
 		return
@@ -163,11 +156,13 @@ func (p *Proc) Get(name string, off, count int) ([]memory.Word, error) {
 
 // GetWord reads a single word.
 func (p *Proc) GetWord(name string, off int) (memory.Word, error) {
-	data, err := p.Get(name, off, 1)
+	a, err := p.Area(name)
 	if err != nil {
 		return 0, err
 	}
-	return data[0], nil
+	w, absorb, err := p.c.sys.NIC(p.id).GetWord(p.sp, a, off, p.newAccess(core.Read))
+	p.absorb(absorb)
+	return w, err
 }
 
 // FetchAdd atomically adds delta to a shared word, returning its previous

@@ -32,6 +32,10 @@ const (
 	// DirCore marks a file as part of the deterministic core regardless of
 	// its import path (used by test fixtures).
 	DirCore = "core"
+	// DirPayload marks a field or method of a pooled struct that yields a
+	// view of a buffer the struct keeps across release; a local holding such
+	// a view dies with the release (poolown).
+	DirPayload = "payload"
 )
 
 const dirPrefix = "//dsmlint:"

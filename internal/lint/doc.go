@@ -22,7 +22,12 @@
 //     matched by shape — a grab-prefixed method whose receiver also has a
 //     release-prefixed sibling with the same name suffix taking the
 //     grabbed type back — which keeps NIC.Get/Put (DSM data operations)
-//     out.
+//     out. Within one statement list it also flags whatever touches a
+//     value after its release: a second release (requests, replies,
+//     barrier records, a reader's share of a merged barrier clock), any
+//     other use, and any use of a local view of a //dsmlint:payload
+//     buffer, which stays with its struct across release. Runs on the
+//     core and on internal/dsm, which handles the barrier records.
 //   - eventctx: annotation-driven call-graph discipline for the
 //     kernel's event-slot primitives. Functions annotated
 //     //dsmlint:eventctx (sim.Kernel.Defer, Kernel.LogOrdered) may only
@@ -54,6 +59,9 @@
 //	                        context
 //	//dsmlint:core          marks a file's package as deterministic core
 //	                        regardless of import path (test fixtures)
+//	//dsmlint:payload       on a field or method of a pooled struct: yields
+//	                        a view of a buffer the struct keeps across
+//	                        release, so a local copy dies with the release
 //
 // Cross-package callee annotations are resolved by re-parsing the
 // declaring package's source directory (annotations are comments, which

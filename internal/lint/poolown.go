@@ -6,8 +6,7 @@ import (
 	"strings"
 )
 
-// PoolOwnAnalyzer enforces the two ownership contracts of the pooled hot
-// path:
+// PoolOwnAnalyzer enforces the ownership contracts of the pooled hot path:
 //
 //   - grab/release pairing: a value obtained from a Get/Put-shaped pool
 //     helper (a method whose name pairs with a release-shaped sibling on the
@@ -16,6 +15,15 @@ import (
 //     falls off the end. A pooled struct that is grabbed, used locally and
 //     then dropped leaks from the pool — the bug class the runtime
 //     PoolBalance audit catches only after the fact.
+//   - nothing after release: once a value has gone back through a
+//     release-shaped helper, the statements that follow in the same block
+//     may not touch it again — a second release (the pool would hand the
+//     struct to two owners; a reference-counted one such as the merged
+//     barrier clock would lose a reader's share) or any other use. The same
+//     goes for a local view of a field or method marked //dsmlint:payload: a
+//     payload buffer stays with its pooled struct across release and is
+//     overwritten by the struct's next user, so whoever needs the words
+//     later copies them out first.
 //   - borrowed reports: a *Report returned by an OnAccess-shaped detector
 //     method borrows its clock fields from per-state scratch buffers, valid
 //     only until the next OnAccess call. Storing one — into a field, slice,
@@ -24,6 +32,7 @@ import (
 var PoolOwnAnalyzer = &Analyzer{
 	Name: "poolown",
 	Doc: "flag pooled structs that are grabbed but never released or handed off, " +
+		"pooled structs and views of their payload buffers used after release, " +
 		"and borrowed detector reports stored without Clone",
 	Run: runPoolOwn,
 }
@@ -44,7 +53,9 @@ func prefixSuffix(name string, prefixes []string) (string, bool) {
 }
 
 func runPoolOwn(p *Pass) error {
-	if !p.InCore() {
+	// The runtime above the core handles pooled records too (barrier
+	// arrivals and releases), so the pass covers it as well.
+	if !p.InCore() && !strings.HasSuffix(p.Pkg.Path(), "internal/dsm") {
 		return nil
 	}
 	for _, f := range p.SourceFiles() {
@@ -54,6 +65,7 @@ func runPoolOwn(p *Pass) error {
 				continue
 			}
 			p.checkPoolPairing(fd)
+			p.checkUseAfterRelease(fd)
 			p.checkBorrowedReports(fd)
 		}
 	}
@@ -97,6 +109,44 @@ func (p *Pass) poolGrab(call *ast.CallExpr) (*types.Func, bool) {
 		}
 		msig := m.Type().(*types.Signature)
 		if msig.Params().Len() == 1 && types.Identical(msig.Params().At(0).Type(), grabbed) {
+			return fn, true
+		}
+	}
+	return nil, false
+}
+
+// poolRelease is poolGrab's mirror: the call hands its one argument back to
+// a pool — a release-shaped method whose receiver also has a grab-shaped
+// sibling, same name suffix, returning exactly the argument's type.
+func (p *Pass) poolRelease(call *ast.CallExpr) (*types.Func, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) != 1 {
+		return nil, false
+	}
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return nil, false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || sig.Params().Len() != 1 {
+		return nil, false
+	}
+	suffix, ok := prefixSuffix(fn.Name(), releasePrefixes)
+	if !ok {
+		return nil, false
+	}
+	recv := recvNamed(sig.Recv().Type())
+	if recv == nil {
+		return nil, false
+	}
+	for i := 0; i < recv.NumMethods(); i++ {
+		m := recv.Method(i)
+		msuf, ok := prefixSuffix(m.Name(), grabPrefixes)
+		if !ok || !strings.EqualFold(msuf, suffix) {
+			continue
+		}
+		msig := m.Type().(*types.Signature)
+		if msig.Results().Len() > 0 && types.Identical(msig.Results().At(0).Type(), sig.Params().At(0).Type()) {
 			return fn, true
 		}
 	}
@@ -207,6 +257,163 @@ func (p *Pass) checkPoolPairing(fd *ast.FuncDecl) {
 			p.Reportf(call.Pos(), "pool leak: %s is grabbed from a pool but never released, returned, stored or handed off on any path", obj.Name())
 		}
 	}
+}
+
+// --- nothing after release ---
+
+// checkUseAfterRelease flags, block by block, any mention of a released
+// value — or of a local view of its payload buffer — in the statements that
+// follow the release. The check is local to one statement list on purpose:
+// a release on an early-return branch says nothing about the code after the
+// branch.
+func (p *Pass) checkUseAfterRelease(fd *ast.FuncDecl) {
+	views := p.payloadViews(fd)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			p.checkReleasedInList(n.List, views)
+		case *ast.CaseClause:
+			p.checkReleasedInList(n.Body, views)
+		case *ast.CommClause:
+			p.checkReleasedInList(n.Body, views)
+		}
+		return true
+	})
+}
+
+// payloadViews maps each local bound to a payload view — `d := v.data`,
+// `d := v.data[a:b]`, `d := v.payload(n)` where the field or method carries
+// //dsmlint:payload — to the variable v whose struct owns the buffer.
+func (p *Pass) payloadViews(fd *ast.FuncDecl) map[types.Object]types.Object {
+	views := map[types.Object]types.Object{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		asg, ok := n.(*ast.AssignStmt)
+		if !ok || len(asg.Lhs) != len(asg.Rhs) {
+			return true
+		}
+		for i, r := range asg.Rhs {
+			id, ok := asg.Lhs[i].(*ast.Ident)
+			if !ok || id.Name == "_" {
+				continue
+			}
+			if owner := p.payloadOwner(r); owner != nil {
+				if obj := p.objOf(id); obj != nil {
+					views[obj] = owner
+				}
+			}
+		}
+		return true
+	})
+	return views
+}
+
+// payloadOwner returns the variable whose pooled struct owns the buffer the
+// expression views, or nil when the expression is not a payload view.
+func (p *Pass) payloadOwner(e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.SliceExpr:
+			e = x.X
+			continue
+		case *ast.ParenExpr:
+			e = x.X
+			continue
+		case *ast.CallExpr:
+			e = x.Fun
+			continue
+		}
+		break
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	member := p.Info.Uses[sel.Sel]
+	if member == nil || member.Pkg() != p.Pkg || !p.Annotated(member.Pos(), DirPayload) {
+		return nil
+	}
+	return p.wholeIdent(sel.X)
+}
+
+func (p *Pass) checkReleasedInList(list []ast.Stmt, views map[types.Object]types.Object) {
+	for i, st := range list {
+		es, ok := st.(*ast.ExprStmt)
+		if !ok {
+			continue
+		}
+		call, ok := es.X.(*ast.CallExpr)
+		if !ok {
+			continue
+		}
+		fn, ok := p.poolRelease(call)
+		if !ok {
+			continue
+		}
+		released := p.wholeIdent(call.Args[0])
+		if released == nil {
+			continue
+		}
+		p.flagUsesAfter(list[i+1:], released, fn, views)
+	}
+}
+
+// flagUsesAfter reports the first mention of released (or of a view of its
+// payload) in rest, stopping where the variable is bound to a new value.
+func (p *Pass) flagUsesAfter(rest []ast.Stmt, released types.Object, by *types.Func, views map[types.Object]types.Object) {
+	for _, st := range rest {
+		scan := []ast.Node{st}
+		rebound := false
+		if asg, ok := st.(*ast.AssignStmt); ok {
+			for _, l := range asg.Lhs {
+				rebound = rebound || p.wholeIdent(l) == released
+			}
+			if rebound { // only the right-hand side still reads the old value
+				scan = scan[:0]
+				for _, r := range asg.Rhs {
+					scan = append(scan, r)
+				}
+			}
+		}
+		for _, root := range scan {
+			found := false
+			ast.Inspect(root, func(n ast.Node) bool {
+				found = found || p.flagUse(n, released, by, views)
+				return !found
+			})
+			if found {
+				return
+			}
+		}
+		if rebound {
+			return
+		}
+	}
+}
+
+// flagUse reports n if it mentions released or a view of its payload.
+func (p *Pass) flagUse(n ast.Node, released types.Object, by *types.Func, views map[types.Object]types.Object) bool {
+	if call, ok := n.(*ast.CallExpr); ok {
+		if _, ok := p.poolRelease(call); ok && p.wholeIdent(call.Args[0]) == released {
+			p.Reportf(call.Pos(), "double release: %s already went back to its pool through %s", released.Name(), by.Name())
+			return true
+		}
+	}
+	id, ok := n.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	obj := p.objOf(id)
+	switch {
+	case obj == nil:
+		return false
+	case obj == released:
+		p.Reportf(id.Pos(), "use after release: %s went back to its pool through %s and may already belong to someone else", released.Name(), by.Name())
+		return true
+	case views[obj] == released:
+		p.Reportf(id.Pos(), "use after release: %s views the payload buffer of %s, which went back to its pool through %s — copy the words out first", obj.Name(), released.Name(), by.Name())
+		return true
+	}
+	return false
 }
 
 // wholeIdent returns the object of an expression that denotes a tracked

@@ -24,7 +24,12 @@
 //
 // Both sides of every operation are event-driven. The home side serves
 // requests as pooled homeOp continuations inside message-delivery events
-// (the target process is never scheduled). The initiator side is symmetric
+// (the target process is never scheduled); a write's invalidation round is
+// state of the homeOp that opened it. Every record on the path is pooled,
+// grabbed first and filled in place, and a payload lives in a buffer its
+// reply keeps or in the parked initiator's one write buffer: an operation
+// allocates only the result slice it returns
+// (ARCHITECTURE.md, "Who owns the bytes"). The initiator side is symmetric
 // since the CPS conversion: an operation is a pooled initOp whose process
 // issues the first request and parks exactly once — every intermediate hop
 // (lock grants, the literal protocol's clock fetches, data replies)

@@ -62,10 +62,10 @@ func (s *System) ExploreFingerprint(h uint64) uint64 {
 			sum += m * fpSep
 			xor ^= m * fpSep
 		}
-		for _, j := range n.invalWait { //dsmlint:ordered — commutative sum/xor fold; iteration order cannot reach h
-			m := fpMix(uint64(j.left)<<2|3, uint64(j.area.ID+1))
-			if j.recall {
-				m = fpMix(m, 1)
+		for _, o := range n.invalWait { //dsmlint:ordered — commutative sum/xor fold; iteration order cannot reach h
+			m := fpMix(uint64(o.invalLeft)<<2|3, 1) // a write's round hashes no area
+			if o.invalRecall {
+				m = fpMix(fpMix(uint64(o.invalLeft)<<2|3, uint64(o.r.area.ID+1)), 1)
 			}
 			sum += m * fpSep
 			xor ^= m * fpSep

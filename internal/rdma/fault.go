@@ -277,7 +277,7 @@ func (n *NIC) retransmit(id uint64, op *initOp) {
 	dst := n.homeOf(op.tmpl.area)
 	op.dst = dst
 	rr := n.ps.grabReq()
-	rr.fill(&op.tmpl)
+	rr.copyFrom(&op.tmpl)
 	rr.id = id
 	rr.origin = n.id
 	op.rr = rr
@@ -443,29 +443,32 @@ func (n *NIC) purgeWaiters(l *lockState, crashed int) {
 
 // drainInvalJoins force-completes every invalidation round the crashed home
 // was waiting on: the outstanding acks will be dropped or orphan-absorbed,
-// so each join's finish runs now — releasing the area lock and the writer's
-// homeOp; the completion reply it sends is dropped at the dead source.
-// Joins are visited in ascending id order: map iteration order must never
-// reach the event stream.
+// so each round's continuation runs now — releasing the area lock and the
+// writer's homeOp; the completion reply it sends is dropped at the dead
+// source. Rounds are visited in ascending id order: map iteration order must
+// never reach the event stream.
 func (n *NIC) drainInvalJoins() {
 	if len(n.invalWait) == 0 {
 		return
 	}
 	ids := make([]uint64, 0, len(n.invalWait))
-	//dsmlint:ordered ids are sorted below before any join finishes
+	//dsmlint:ordered ids are sorted below before any round finishes
 	for id := range n.invalWait {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	done := make(map[*invalJoin]bool, len(ids))
+	// Empty the table first: no id may point at a homeOp once it is recycled.
+	var open []*homeOp
 	for _, id := range ids {
-		join := n.invalWait[id]
+		o := n.invalWait[id]
 		delete(n.invalWait, id)
-		if !done[join] {
-			done[join] = true
-			join.left = 0
-			join.finish()
+		if o.invalLeft > 0 {
+			o.invalLeft = 0
+			open = append(open, o)
 		}
+	}
+	for _, o := range open {
+		o.invalDone()
 	}
 }
 
@@ -473,7 +476,7 @@ func (n *NIC) drainInvalJoins() {
 // the drop hooks); under faults an orphan ack — its round already drained by
 // a crash sweep — is absorbed silently.
 func (n *NIC) ackInval(id uint64) {
-	join, ok := n.invalWait[id]
+	o, ok := n.invalWait[id]
 	if !ok {
 		if n.sys.faultOn {
 			return
@@ -481,14 +484,14 @@ func (n *NIC) ackInval(id uint64) {
 		panic(fmt.Sprintf("rdma: node %d: orphan inval ack %d", n.id, id))
 	}
 	delete(n.invalWait, id)
-	if join.recall {
+	if o.invalRecall {
 		// Every recall acknowledgement — real, vacuous (dead owner) or
 		// dataless (clean line) — ends the owner's exclusivity.
-		n.sys.mes.ClearExclusive(join.area)
+		n.sys.mes.ClearExclusive(o.r.area)
 	}
-	join.left--
-	if join.left == 0 {
-		join.finish()
+	o.invalLeft--
+	if o.invalLeft == 0 {
+		o.invalDone()
 	}
 }
 

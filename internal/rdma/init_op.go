@@ -1,6 +1,8 @@
 package rdma
 
 import (
+	"slices"
+
 	"dsmrace/internal/core"
 	"dsmrace/internal/memory"
 	"dsmrace/internal/network"
@@ -20,18 +22,8 @@ import (
 // patching, absorb-buffer hand-off, pool release) runs on the process as
 // before.
 //
-// Ownership at each hop:
-//   - o.rr (pooled req): owned by the operation from issue until the reply
-//     proves the home is done with it; the reply continuation releases it.
-//     (A request dropped on a down link is reclaimed by the network's drop
-//     hook instead — see System.reclaimDropped.)
-//   - the pooled resp: owned by the reply continuation for the duration of
-//     the capture; released before the continuation returns.
-//   - o.clock (pooled absorb clock): detached from the resp by the capture;
-//     owned by the operation until the process-side tail either hands it to
-//     the caller (who releases it after absorbing) or releases it on error.
-//   - o itself: grabbed by the entry point, released by the entry point
-//     after the tail has copied the results out.
+// Who owns o.rr, the reply, its payload and the absorb clock at each hop is
+// tabulated in ARCHITECTURE.md ("Who owns the bytes").
 //
 // All continuation funcs are bound once when the struct is first created, so
 // a steady-state operation allocates nothing.
@@ -52,8 +44,14 @@ type initOp struct {
 	acc        core.Access
 	lockOn     bool // literal protocol: internal area lock taken
 
+	// into receives the reply payload from word skip on (nonzero only for a
+	// fetch, whose reply is the whole area): the entry point's destination,
+	// or — left nil — a fresh slice of want words the caller will own.
+	into       []memory.Word
+	skip, want int
+
 	// Results, filled by reply continuations.
-	outData []memory.Word
+	outData []memory.Word // the filled prefix of into; nil until a reply carried data
 	clock   vclock.Masked
 	errs    string
 	v, w    vclock.VC
@@ -145,7 +143,8 @@ func releaseInit(ps *shardPools, o *initOp) {
 	}
 	o.n, o.p, o.rr, o.next, o.stage1Fn = nil, nil, nil, nil, nil
 	o.done, o.lockOn = false, false
-	o.data, o.outData, o.v, o.w = nil, nil, nil, nil
+	o.data, o.into, o.outData, o.v, o.w = nil, nil, nil, nil, nil
+	o.skip, o.want = 0, 0
 	o.dep = nil
 	o.ver, o.excl = 0, false
 	o.acc = core.Access{}
@@ -159,23 +158,31 @@ func releaseInit(ps *shardPools, o *initOp) {
 	ps.ret[owner].inits = append(ps.ret[owner].inits, o)
 }
 
-// issue sends one request hop of the operation and registers cont as its
-// reply continuation. The park label follows the in-flight kind, so a
-// deadlock report names the hop actually stuck (Relabel is a no-op on the
-// first hop, where the process has not parked yet — Await supplies the
-// label there).
-func (o *initOp) issue(dst network.NodeID, kind network.Kind, size int, r *req, cont func(*resp)) {
+// newReq grabs the request of the operation's next hop and stamps what every
+// hop carries; the caller fills the rest in place and hands it to issue.
+func (o *initOp) newReq(area memory.Area) *req {
 	n := o.n
 	rr := n.ps.grabReq()
-	rr.fill(r)
-	rr.id = n.ps.nextReq()
-	rr.origin = n.id
+	rr.id, rr.origin, rr.area = n.ps.nextReq(), n.id, area
+	return rr
+}
+
+// issue sends one request hop of the operation (rr, from newReq) and
+// registers cont as its reply continuation. The park label follows the
+// in-flight kind, so a deadlock report names the hop actually stuck (Relabel
+// is a no-op on the first hop, where the process has not parked yet — Await
+// supplies the label there).
+func (o *initOp) issue(dst network.NodeID, kind network.Kind, size int, rr *req, cont func(*resp)) {
+	n := o.n
 	o.rr, o.next, o.kind = rr, cont, kind
 	if n.sys.fArm {
 		// Record the retransmission template and deadline BEFORE sending: a
 		// send-time drop runs the drop hook synchronously inside Send, and
 		// the hook recognises a fault-tracked op by its nonzero deadline.
-		o.tmpl = *rr
+		// A retransmission can outlive the operation, and with it n.wbuf and
+		// the process's lock set: under faults every send shares private copies.
+		rr.data, rr.acc.Locks = slices.Clone(rr.data), slices.Clone(rr.acc.Locks)
+		o.tmpl.copyFrom(rr)
 		o.dst, o.size = dst, size
 		o.attempt, o.dropped = 0, false
 		o.deadline = n.k.Now() + n.sys.ftimeout
@@ -211,7 +218,10 @@ func (o *initOp) absorb(rs *resp) {
 	// clock fetch must not clobber the data an earlier hop captured, and
 	// vice versa.
 	if rs.data != nil {
-		o.outData = rs.data
+		if o.into == nil {
+			o.into = make([]memory.Word, o.want)
+		}
+		o.outData = o.into[:copy(o.into, rs.data[o.skip:])]
 	}
 	if rs.err != "" {
 		o.errs = rs.err
@@ -261,19 +271,20 @@ func (o *initOp) capture(rs *resp) {
 // between this delivery and a process-side install, finding no copy to drop
 // and leaving a stale line the home believes invalidated. Installing here
 // keeps the reply's protocol action atomic with its delivery.
+// The install reads the reply's pooled payload, so it precedes absorb.
 func (o *initOp) fetchCapture(rs *resp) {
-	o.absorb(rs)
-	if o.errs == "" {
+	if rs.err == "" {
 		n, self := o.n, int(o.n.id)
 		if cau := n.sys.cau; cau != nil {
-			cau.InstallVersioned(self, o.area, o.outData, o.clock, o.ver, o.dep)
+			cau.InstallVersioned(self, o.area, rs.data, rs.clock, rs.ver, rs.dep)
 		} else {
-			n.sys.coh.InstallCopy(self, o.area, o.outData, o.clock)
-			if o.excl {
+			n.sys.coh.InstallCopy(self, o.area, rs.data, rs.clock)
+			if rs.excl {
 				n.sys.mes.InstallExclusive(self, o.area)
 			}
 		}
 	}
+	o.absorb(rs)
 	o.finish()
 }
 
@@ -292,8 +303,7 @@ func (o *initOp) grant(rs *resp) {
 
 // readClocks issues a get_clock/get_clock_W hop with the given continuation.
 func (o *initOp) readClocks(cont func(*resp)) {
-	o.issue(o.n.homeOf(o.area), network.KindClockRead, network.HeaderBytes,
-		&req{area: o.area}, cont)
+	o.issue(o.n.homeOf(o.area), network.KindClockRead, network.HeaderBytes, o.newReq(o.area), cont)
 }
 
 // putStage1 — Algorithm 1 after the lock: fetch the area clocks.
@@ -319,9 +329,10 @@ func (o *initOp) putStage2() {
 			StoredClock: o.v,
 		}, n.k.Now())
 	}
+	rr := o.newReq(o.area)
+	rr.off, rr.data, rr.acc = o.off, o.data, o.acc
 	o.issue(o.n.homeOf(o.area), network.KindPutReq,
-		network.HeaderBytes+len(o.data)*memory.WordBytes,
-		&req{area: o.area, off: o.off, data: o.data, acc: o.acc, hasAcc: false}, o.putAckFn)
+		network.HeaderBytes+len(o.data)*memory.WordBytes, rr, o.putAckFn)
 }
 
 // putAck absorbs the data ack; an error short-circuits to the tail (which
@@ -384,8 +395,9 @@ func (o *initOp) getStage2() {
 			StoredClock: o.w,
 		}, n.k.Now())
 	}
-	o.issue(o.n.homeOf(o.area), network.KindGetReq, network.HeaderBytes,
-		&req{area: o.area, off: o.off, count: o.count, acc: o.acc, hasAcc: false}, o.getReplyFn)
+	rr := o.newReq(o.area)
+	rr.off, rr.count, rr.acc = o.off, o.count, o.acc
+	o.issue(o.n.homeOf(o.area), network.KindGetReq, network.HeaderBytes, rr, o.getReplyFn)
 }
 
 // getReply absorbs the data; errors short-circuit to the tail.

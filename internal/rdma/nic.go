@@ -18,7 +18,7 @@ type req struct {
 	area   memory.Area
 	off    int // word offset within the area
 	count  int
-	data   []memory.Word
+	data   []memory.Word // written payload: the parked initiator's NIC.wbuf (under faults, issue's private copy)
 	acc    core.Access
 	hasAcc bool // acc carries a clock (detection on)
 	user   bool // user-level lock operation (observed, clock-carrying)
@@ -42,12 +42,11 @@ type req struct {
 	grantFn func()
 }
 
-// fill copies a caller's literal into the pooled req, keeping what belongs
-// to the struct rather than to the request: its owner shard and its bound
-// continuation.
-func (rr *req) fill(r *req) {
+// copyFrom makes rr a copy of src but for its own owner shard and bound
+// continuation (the legacy twin and the retransmission template only).
+func (rr *req) copyFrom(src *req) {
 	owner, grantFn := rr.owner, rr.grantFn
-	*rr = *r
+	*rr = *src
 	rr.owner, rr.grantFn = owner, grantFn
 }
 
@@ -55,7 +54,10 @@ func (rr *req) fill(r *req) {
 type resp struct {
 	id    uint64
 	owner int32 // pool shard that grabbed this struct
-	data  []memory.Word
+	// data is the reply payload (nil: none), a view of buf — the payload
+	// buffer the struct keeps across pool round trips.
+	data  []memory.Word //dsmlint:payload
+	buf   []memory.Word
 	v, w  vclock.VC     // clock reads
 	clock vclock.Masked // merged clock for the initiator to absorb
 	err   string
@@ -69,6 +71,18 @@ type resp struct {
 	excl bool
 }
 
+// payload sizes the reply payload to n words of the struct's own buffer and
+// returns it for the sender to fill.
+//
+//dsmlint:payload
+func (rs *resp) payload(n int) []memory.Word {
+	if rs.buf == nil || cap(rs.buf) < n { // never nil: nil data means "no payload"
+		rs.buf = make([]memory.Word, n)
+	}
+	rs.data = rs.buf[:n]
+	return rs.data
+}
+
 // pending tracks a legacy-path initiator-side operation awaiting its
 // response (the CPS path registers the initOp itself — see pendEntry).
 type pending struct {
@@ -76,20 +90,6 @@ type pending struct {
 	done  bool
 	resp  *resp
 	owner int32 // pool shard that grabbed this struct
-}
-
-// invalJoin tracks a home-side write waiting for invalidation
-// acknowledgements. Every invalidation message of the write points at the
-// same join; the last acknowledgement runs finish (which releases the area
-// lock and sends the write's completion).
-type invalJoin struct {
-	left   int
-	finish func()
-	// MESI recall rounds: the acknowledgement may carry the downgraded
-	// owner's dirty data, written back into the area before finish runs, and
-	// the ack always clears the directory's exclusivity record.
-	recall bool
-	area   memory.Area
 }
 
 // NIC is one node's network interface. Remote operations addressed to this
@@ -108,9 +108,16 @@ type NIC struct {
 	// runs one process, so only a handful of operations are ever in flight
 	// at once: a tiny linear-scanned table beats a map on every round trip.
 	pending []pendEntry
-	// invalWait joins in-flight invalidation rounds issued by this (home)
-	// NIC, keyed by each invalidation's request id.
-	invalWait map[uint64]*invalJoin
+	// invalWait maps the id of every in-flight invalidation issued by this
+	// (home) NIC to the homeOp whose round it belongs to; a late ack of a
+	// drained round (fault.go) finds no id, rather than a recycled homeOp.
+	invalWait map[uint64]*homeOp
+	// wbuf holds the payload of the node's in-flight write: Put copies the
+	// caller's (usually variadic) slice in, so that never escapes, and the
+	// request aliases it — the home consumes the words before it replies.
+	// word receives single-word results. One blocking process: one of each.
+	wbuf []memory.Word
+	word [1]memory.Word
 	// locks is the per-area lock table, indexed by AreaID (dense: the
 	// space is sealed before the run); entries materialise on first use.
 	locks []*lockState
@@ -305,24 +312,24 @@ func parkReason(k network.Kind) string {
 // sizes or delivery behaviour.
 func wireArea(a memory.Area) int { return int(a.ID) + 1 }
 
-// send transmits a one-way request (no response expected). The home-side
-// handler recycles the pooled req when it is done.
-func (n *NIC) send(dst network.NodeID, kind network.Kind, size int, r *req) {
+// oneWay grabs the request of a one-way message (no response expected) for
+// the caller to fill in place; the home-side handler recycles it.
+func (n *NIC) oneWay(area memory.Area) *req {
 	rr := n.ps.grabReq()
-	rr.fill(r)
-	rr.origin = n.id
+	rr.origin, rr.area = n.id, area
+	return rr
+}
+
+// send transmits a request built by oneWay.
+func (n *NIC) send(dst network.NodeID, kind network.Kind, size int, rr *req) {
 	n.sys.net.Send(&network.Message{Src: n.id, Dst: dst, Kind: kind, Size: size, Area: wireArea(rr.area), Payload: rr})
 }
 
-// reply sends a response back to the request's origin. The caller's resp
-// literal is copied into a pooled struct released by the initiator.
+// reply sends rs — grabbed and filled in place by the caller, released by
+// the initiator — back to the request's origin.
 func (n *NIC) reply(r *req, kind network.Kind, size int, rs *resp) {
-	rr := n.ps.grabResp()
-	owner := rr.owner
-	*rr = *rs
-	rr.owner = owner
-	rr.id = r.id
-	n.sys.net.Send(&network.Message{Src: n.id, Dst: r.origin, Kind: kind, Size: size, Area: wireArea(r.area), Payload: rr})
+	rs.id = r.id
+	n.sys.net.Send(&network.Message{Src: n.id, Dst: r.origin, Kind: kind, Size: size, Area: wireArea(r.area), Payload: rs})
 }
 
 // homeOp is a pooled home-side operation continuation: lock grant →
@@ -341,6 +348,11 @@ type homeOp struct {
 	absorb vclock.Masked
 	old    memory.Word // atomic: previous stored value
 	ver    uint64      // causal: the committed write's area version
+	// The operation's one open invalidation round: acks outstanding, and
+	// whether it is a MESI recall — whose ack may carry the owner's dirty
+	// data, clears the exclusivity record and continues into occupy.
+	invalLeft   int
+	invalRecall bool
 
 	grantFn  func() // o.grant, bound once
 	runFn    func() // o.run, bound once
@@ -349,11 +361,10 @@ type homeOp struct {
 }
 
 // updateMsg is a causal-memory update fanned from the home to every sharer
-// after a committed write. One instance is shared by the whole fan-out and is
-// immutable after send — data and dep are fresh copies owned by the message.
-// It is not pooled: a drop under faults simply loses it (the version gap rule
-// makes updates loss-tolerant), and the drop hook passes unknown payloads
-// through untouched.
+// after a committed write: one instance for the whole fan-out, not pooled
+// (ARCHITECTURE.md, "Who owns the bytes"). The version gap rule makes
+// updates loss-tolerant, and the drop hook passes unknown payloads through
+// untouched.
 type updateMsg struct {
 	area memory.Area
 	off  int
@@ -536,18 +547,32 @@ func (o *homeOp) grant() {
 	if mes := n.sys.mes; mes != nil {
 		if owner := mes.ExclusiveOwner(int(o.r.origin), o.r.area); owner >= 0 {
 			mes.CountRecall(int(n.id))
-			rr := n.ps.grabReq()
-			rr.id = n.ps.nextReq()
-			rr.origin = n.id
-			rr.area = o.r.area
-			rr.recall = true
-			n.invalWait[rr.id] = &invalJoin{left: 1, finish: o.occupyFn, recall: true, area: o.r.area}
-			n.sys.net.Send(&network.Message{Src: n.id, Dst: network.NodeID(owner),
-				Kind: network.KindInval, Size: network.HeaderBytes, Area: wireArea(rr.area), Payload: rr})
+			o.invalLeft, o.invalRecall = 1, true
+			o.sendInval(owner, true)
 			return
 		}
 	}
 	o.occupy()
+}
+
+// sendInval sends node one invalidation (or recall) of the operation's round.
+func (o *homeOp) sendInval(node int, recall bool) {
+	n := o.n
+	rr := n.ps.grabReq()
+	rr.id, rr.origin, rr.area, rr.recall = n.ps.nextReq(), n.id, o.r.area, recall
+	n.invalWait[rr.id] = o
+	n.sys.net.Send(&network.Message{Src: n.id, Dst: network.NodeID(node),
+		Kind: network.KindInval, Size: network.HeaderBytes, Area: wireArea(rr.area), Payload: rr})
+}
+
+// invalDone continues the operation once its invalidation round is complete.
+func (o *homeOp) invalDone() {
+	if o.invalRecall {
+		o.invalRecall = false
+		o.occupy()
+		return
+	}
+	o.finish()
 }
 
 // occupy charges the occupancy window for the words this operation moves,
@@ -604,21 +629,10 @@ func (o *homeOp) run() {
 		o.finishWrite()
 	case network.KindGetReq:
 		// The reply transfers exactly the requested span.
-		o.serveRead(r.off, r.count, network.KindGetReply, nil)
-	default: // KindFetchReq: read miss under a caching protocol, whole-area transfer
-		// The reply transfers the whole area (the coherence unit) and
-		// registers the reader as a sharer. Causal replies carry the area's
-		// version and dependency clock; a MESI reply may grant exclusivity
-		// when the reader is the sole sharer.
-		o.serveRead(0, r.area.Len, network.KindFetchReply, func(rs *resp) {
-			n.sys.coh.AddSharer(int(r.origin), r.area)
-			n.sys.countFetch(int(n.id))
-			if cau := n.sys.cau; cau != nil {
-				rs.ver, rs.dep = cau.ReadVersion(r.area)
-			} else if mes := n.sys.mes; mes != nil {
-				rs.excl = mes.GrantExclusive(int(r.origin), r.area)
-			}
-		})
+		o.serveRead(r.off, r.count, network.KindGetReply)
+	default: // KindFetchReq: read miss under a caching protocol
+		// The reply transfers the whole area (the coherence unit).
+		o.serveRead(0, r.area.Len, network.KindFetchReply)
 	}
 }
 
@@ -628,21 +642,29 @@ func (o *homeOp) run() {
 // release the lock and reply with replyKind. Errors reply with nil data but
 // a size computed before the data is dropped, matching the wire model (the
 // request was for that many words).
-func (o *homeOp) serveRead(readOff, readLen int, replyKind network.Kind, onServed func(*resp)) {
+func (o *homeOp) serveRead(readOff, readLen int, replyKind network.Kind) {
 	n, r := o.n, o.r
-	var data []memory.Word
+	rs := n.ps.grabResp()
 	o.err = checkAreaRange(r.area, r.off, r.count)
 	if o.err == nil {
-		data = make([]memory.Word, readLen)
-		o.err = n.sys.space.Node(r.area.Home).ReadPublic(r.area.Off+readOff, data)
+		o.err = n.sys.space.Node(r.area.Home).ReadPublic(r.area.Off+readOff, rs.payload(readLen))
 	}
 	o.observeAndCheck(r.off, r.count, n.k.Now())
-	rs := resp{data: data, clock: o.absorb}
-	if o.err == nil && onServed != nil {
-		onServed(&rs)
+	rs.clock = o.absorb
+	if o.err == nil && replyKind == network.KindFetchReply {
+		// A served fetch registers the reader as a sharer. Causal replies
+		// carry the area's version and dependency clock; a MESI reply may
+		// grant exclusivity when the reader is the sole sharer.
+		n.sys.coh.AddSharer(int(r.origin), r.area)
+		n.sys.countFetch(int(n.id))
+		if cau := n.sys.cau; cau != nil {
+			rs.ver, rs.dep = cau.ReadVersion(r.area)
+		} else if mes := n.sys.mes; mes != nil {
+			rs.excl = mes.GrantExclusive(int(r.origin), r.area)
+		}
 	}
 	o.release()
-	size := network.HeaderBytes + len(data)*memory.WordBytes +
+	size := network.HeaderBytes + len(rs.data)*memory.WordBytes +
 		n.sys.replyClockBytes(n, chanKey{ack: true, node: r.origin, area: r.area.ID}, o.absorb)
 	if rs.ver != 0 {
 		size += 8
@@ -654,7 +676,7 @@ func (o *homeOp) serveRead(readOff, readLen int, replyKind network.Kind, onServe
 		rs.data = nil
 	}
 	rs.err = errString(o.err)
-	n.reply(r, replyKind, size, &rs)
+	n.reply(r, replyKind, size, rs)
 	if n.sys.faultOn {
 		// Request ownership is home-side under faults: the initiator cannot
 		// prove this reply arrives, so it can no longer release the req.
@@ -711,15 +733,9 @@ func (o *homeOp) finishWrite() {
 				}
 			}
 		} else if inv := n.sys.coh.Invalidees(r.acc.Proc, r.area); len(inv) > 0 {
-			join := &invalJoin{left: len(inv), finish: o.finishFn}
+			o.invalLeft = len(inv)
 			for _, node := range inv {
-				rr := n.ps.grabReq()
-				rr.id = n.ps.nextReq()
-				rr.origin = n.id
-				rr.area = r.area
-				n.invalWait[rr.id] = join
-				n.sys.net.Send(&network.Message{Src: n.id, Dst: network.NodeID(node),
-					Kind: network.KindInval, Size: network.HeaderBytes, Area: wireArea(r.area), Payload: rr})
+				o.sendInval(node, false)
 			}
 			return
 		}
@@ -744,11 +760,14 @@ func (o *homeOp) finish() {
 	if o.ver != 0 {
 		size += 8
 	}
+	rs := n.ps.grabResp()
+	rs.clock, rs.ver, rs.err = o.absorb, o.ver, errString(o.err)
 	if o.kind == network.KindAtomicReq {
 		size += memory.WordBytes
-		n.reply(r, network.KindAtomicReply, size, &resp{data: []memory.Word{o.old}, clock: o.absorb, ver: o.ver, err: errString(o.err)})
+		rs.payload(1)[0] = o.old
+		n.reply(r, network.KindAtomicReply, size, rs)
 	} else {
-		n.reply(r, network.KindPutAck, size, &resp{clock: o.absorb, ver: o.ver, err: errString(o.err)})
+		n.reply(r, network.KindPutAck, size, rs)
 	}
 	if n.sys.faultOn {
 		n.ps.releaseReq(r) // home-side request ownership; see serveRead
@@ -790,18 +809,18 @@ func (n *NIC) handleFetch(m *network.Message) {
 // invalidation rounds cannot deadlock.
 func (n *NIC) handleInval(m *network.Message) {
 	r := m.Payload.(*req)
+	rs := n.ps.grabResp()
+	size := network.HeaderBytes
 	if r.recall {
 		data, dirty := n.sys.mes.Downgrade(int(n.id), r.area)
-		size := network.HeaderBytes
 		if dirty {
+			copy(rs.payload(len(data)), data)
 			size += len(data) * memory.WordBytes
 		}
-		n.reply(r, network.KindInvalAck, size, &resp{data: data})
-		n.ps.releaseReq(r)
-		return
+	} else {
+		n.sys.coh.DropCopy(int(n.id), r.area)
 	}
-	n.sys.coh.DropCopy(int(n.id), r.area)
-	n.reply(r, network.KindInvalAck, network.HeaderBytes, &resp{})
+	n.reply(r, network.KindInvalAck, size, rs)
 	n.ps.releaseReq(r) // invalidations are one-way reqs: the handler owns it
 }
 
@@ -811,8 +830,8 @@ func (n *NIC) handleInval(m *network.Message) {
 // the waiting operation's body runs.
 func (n *NIC) handleInvalAck(m *network.Message) {
 	r := m.Payload.(*resp)
-	if join, ok := n.invalWait[r.id]; ok && join.recall && r.data != nil {
-		_ = n.sys.space.Node(join.area.Home).WritePublic(join.area.Off, r.data)
+	if o, ok := n.invalWait[r.id]; ok && o.invalRecall && r.data != nil {
+		_ = n.sys.space.Node(o.r.area.Home).WritePublic(o.r.area.Off, r.data)
 	}
 	n.ackInval(r.id)
 	n.ps.releaseResp(r)
@@ -844,7 +863,7 @@ func (n *NIC) handleLock(m *network.Message) {
 			// happens-before edge survives the retry); a stale duplicate
 			// after release gets a bare grant the initiator absorbs as an
 			// orphan.
-			var rs resp
+			rs := n.ps.grabResp()
 			size := network.HeaderBytes
 			if r.user && l.held && l.owner == r.acc.Proc && !l.relClock.IsNil() {
 				rs.clock = l.relClock.CopyInto(n.ps.grabClock())
@@ -854,7 +873,7 @@ func (n *NIC) handleLock(m *network.Message) {
 				rs.dep = l.relObs.Copy()
 				size += rs.dep.WireSize()
 			}
-			n.reply(r, network.KindLockGrant, size, &rs)
+			n.reply(r, network.KindLockGrant, size, rs)
 			n.ps.releaseReq(r)
 			return
 		}
@@ -874,7 +893,7 @@ func (r *req) grantLock() {
 	// The lock stays held until an Unlock message arrives. User-level
 	// grants carry the previous releaser's clock (release→acquire edge),
 	// copied into a pooled buffer the acquirer releases after absorbing.
-	var rs resp
+	rs := n.ps.grabResp()
 	size := network.HeaderBytes
 	if r.user && !l.relClock.IsNil() {
 		if n.sys.fArm {
@@ -910,7 +929,7 @@ func (r *req) grantLock() {
 		l.msgHeld = true
 		l.lastGrant = r.id
 	}
-	n.reply(r, network.KindLockGrant, size, &rs)
+	n.reply(r, network.KindLockGrant, size, rs)
 	if n.sys.faultOn {
 		n.ps.releaseReq(r) // home-side request ownership; see serveRead
 	}
@@ -948,13 +967,15 @@ func (n *NIC) handleUnlock(m *network.Message) {
 
 func (n *NIC) handleClockRead(m *network.Message) {
 	r := m.Payload.(*req)
-	ca, ok := n.sys.stateFor(r.area, 0).(core.ClockAccessor)
-	if !ok {
-		n.reply(r, network.KindClockReadResp, network.HeaderBytes, &resp{err: "detector has no clocks"})
+	rs := n.ps.grabResp()
+	size := network.HeaderBytes
+	if ca, ok := n.sys.stateFor(r.area, 0).(core.ClockAccessor); ok {
+		rs.v, rs.w = ca.Clocks()
+		size += rs.v.WireSize() + rs.w.WireSize()
 	} else {
-		v, w := ca.Clocks()
-		n.reply(r, network.KindClockReadResp, network.HeaderBytes+v.WireSize()+w.WireSize(), &resp{v: v, w: w})
+		rs.err = "detector has no clocks"
 	}
+	n.reply(r, network.KindClockReadResp, size, rs)
 	if n.sys.faultOn {
 		n.ps.releaseReq(r) // home-side request ownership; see serveRead
 	}

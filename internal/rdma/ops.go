@@ -21,8 +21,12 @@ import (
 // Fig. 2 left... right arrow). acc carries the initiator's identity and
 // ticked clock. It returns the clock the initiator should absorb (nil when
 // none) and blocks p until completion.
-func (n *NIC) Put(p *sim.Proc, area memory.Area, off int, data []memory.Word, acc core.Access) (vclock.Masked, error) {
+func (n *NIC) Put(p *sim.Proc, area memory.Area, off int, vals []memory.Word, acc core.Access) (vclock.Masked, error) {
 	acc.Area = area.ID
+	// Work on the NIC's own copy (see NIC.wbuf), which the request aliases
+	// and the tail patches from; vals is not used again.
+	n.wbuf = append(n.wbuf[:0], vals...)
+	data := n.wbuf
 	if n.sys.cfg.Protocol == ProtocolLiteral && n.sys.DetectionOn() {
 		return n.putLiteral(p, area, off, data, acc)
 	}
@@ -60,8 +64,9 @@ func (n *NIC) Put(p *sim.Proc, area memory.Area, off int, data []memory.Word, ac
 		size += obs.WireSize()
 	}
 	o := n.sys.grabInit(n, p)
-	o.issue(n.homeOf(area), network.KindPutReq, size,
-		&req{area: area, off: off, data: data, acc: acc, hasAcc: hasAcc, obs: obs}, o.captureFn)
+	rr := o.newReq(area)
+	rr.off, rr.data, rr.acc, rr.hasAcc, rr.obs = off, data, acc, hasAcc, obs
+	o.issue(n.homeOf(area), network.KindPutReq, size, rr, o.captureFn)
 	o.await()
 	clock, ver, err := o.clock, o.ver, o.err()
 	releaseInit(n.ps, o)
@@ -91,26 +96,62 @@ func (n *NIC) Put(p *sim.Proc, area memory.Area, off int, data []memory.Word, ac
 // read). It returns the data and the clock to absorb (the area's write
 // clock when AbsorbOnGetReply is set). Under write-invalidate coherence the
 // read is served from a valid local copy when one exists and otherwise
-// fetches (and caches) the whole area.
+// fetches (and caches) the whole area. The returned slice is the caller's.
 func (n *NIC) Get(p *sim.Proc, area memory.Area, off, count int, acc core.Access) ([]memory.Word, vclock.Masked, error) {
+	return n.get(p, area, off, count, acc, nil)
+}
+
+// GetWord is Get of a single word with no result slice to allocate.
+func (n *NIC) GetWord(p *sim.Proc, area memory.Area, off int, acc core.Access) (memory.Word, vclock.Masked, error) {
+	data, clock, err := n.get(p, area, off, 1, acc, n.word[:])
+	if err != nil {
+		return 0, clock, err
+	}
+	return data[0], clock, nil
+}
+
+// deliver copies src into dst, or into a fresh slice when dst is nil.
+func deliver(dst, src []memory.Word) []memory.Word {
+	if dst == nil {
+		dst = make([]memory.Word, len(src))
+	}
+	return dst[:copy(dst, src)]
+}
+
+// get reads count words into dst, or into a fresh slice when dst is nil.
+func (n *NIC) get(p *sim.Proc, area memory.Area, off, count int, acc core.Access, dst []memory.Word) ([]memory.Word, vclock.Masked, error) {
 	acc.Area = area.ID
 	if n.sys.cfg.Coherence.CachesRemoteReads() {
-		return n.getInvalidate(p, area, off, count, acc)
+		return n.getInvalidate(p, area, off, count, &acc, dst)
 	}
 	if n.sys.cfg.Protocol == ProtocolLiteral && n.sys.DetectionOn() {
-		return n.getLiteral(p, area, off, count, acc)
+		return n.getLiteral(p, area, off, count, acc, dst)
 	}
 	if n.sys.cfg.LegacyInitiator {
-		return n.legacyGet(p, area, off, count, acc)
+		return n.legacyGet(p, area, off, count, acc, dst)
 	}
+	return n.getRemote(p, n.homeOf(area), network.KindGetReq, area, off, count, &acc, dst)
+}
+
+// getRemote is the one-round-trip read: a get served by home, or under a
+// caching protocol the fetch of a read miss, whose reply continuation also
+// installs the copy.
+func (n *NIC) getRemote(p *sim.Proc, home network.NodeID, kind network.Kind, area memory.Area, off, count int, acc *core.Access, dst []memory.Word) ([]memory.Word, vclock.Masked, error) {
 	size := network.HeaderBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
 		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
 	}
 	o := n.sys.grabInit(n, p)
-	o.issue(n.homeOf(area), network.KindGetReq, size,
-		&req{area: area, off: off, count: count, acc: acc, hasAcc: hasAcc}, o.captureFn)
+	o.want, o.into = count, dst
+	cont := o.captureFn
+	if kind == network.KindFetchReq {
+		// The reply carries the whole area; the caller's span starts at off.
+		o.area, o.skip, cont = area, off, o.fetchCaptureFn
+	}
+	rr := o.newReq(area)
+	rr.off, rr.count, rr.acc, rr.hasAcc = off, count, *acc, hasAcc
+	o.issue(home, kind, size, rr, cont)
 	o.await()
 	data, clock, err := o.outData, o.clock, o.err()
 	releaseInit(n.ps, o)
@@ -157,7 +198,8 @@ func (n *NIC) atomic(p *sim.Proc, area memory.Area, off int, op AtomicOp, a1, a2
 			panic("rdma: exclusive line refused a cached read")
 		}
 		old := cur[0]
-		mes.SilentWrite(self, area, off, []memory.Word{op.Apply(old, a1, a2)}, vclock.Masked{})
+		n.wbuf = append(n.wbuf[:0], op.Apply(old, a1, a2))
+		mes.SilentWrite(self, area, off, n.wbuf, vclock.Masked{})
 		p.Sleep(n.sys.occupancy(1))
 		if n.sys.cfg.Observer != nil {
 			n.sys.cfg.Observer.Access(acc, area, off, 1, p.Now())
@@ -175,8 +217,11 @@ func (n *NIC) atomic(p *sim.Proc, area memory.Area, off int, op AtomicOp, a1, a2
 		size += obs.WireSize()
 	}
 	o := n.sys.grabInit(n, p)
-	o.issue(n.homeOf(area), network.KindAtomicReq, size,
-		&req{area: area, off: off, op: op, arg1: a1, arg2: a2, acc: acc, hasAcc: hasAcc, obs: obs}, o.captureFn)
+	o.into = n.word[:]
+	rr := o.newReq(area)
+	rr.off, rr.op, rr.arg1, rr.arg2 = off, op, a1, a2
+	rr.acc, rr.hasAcc, rr.obs = acc, hasAcc, obs
+	o.issue(n.homeOf(area), network.KindAtomicReq, size, rr, o.captureFn)
 	o.await()
 	clock, ver, err := o.clock, o.ver, o.err()
 	var old memory.Word
@@ -192,12 +237,12 @@ func (n *NIC) atomic(p *sim.Proc, area memory.Area, off int, op AtomicOp, a1, a2
 		// Fold the atomic's outcome into the initiator's own copy (a failed
 		// CAS rewrites the old value — the write clock still advances,
 		// because the home counted the atomic as a write either way).
-		neww := []memory.Word{op.Apply(old, a1, a2)}
+		n.wbuf = append(n.wbuf[:0], op.Apply(old, a1, a2))
 		if cau := n.sys.cau; cau != nil {
 			cau.NoteWriteAck(self, area, ver)
-			cau.PatchVersioned(self, area, off, neww, clock, ver)
+			cau.PatchVersioned(self, area, off, n.wbuf, clock, ver)
 		} else {
-			n.sys.coh.PatchCopy(self, area, off, neww, clock)
+			n.sys.coh.PatchCopy(self, area, off, n.wbuf, clock)
 		}
 	}
 	var absorb vclock.Masked
@@ -214,15 +259,16 @@ func (n *NIC) atomic(p *sim.Proc, area memory.Area, off int, op AtomicOp, a1, a2
 // local memory — which also means the online detector at the home never
 // sees a cache hit, the coverage trade-off E-T12 measures); a miss fetches
 // and caches the whole area with the write clock piggybacked on the reply.
-func (n *NIC) getInvalidate(p *sim.Proc, area memory.Area, off, count int, acc core.Access) ([]memory.Word, vclock.Masked, error) {
+func (n *NIC) getInvalidate(p *sim.Proc, area memory.Area, off, count int, acc *core.Access, dst []memory.Word) ([]memory.Word, vclock.Masked, error) {
 	self := int(n.id)
 	if int(n.homeOf(area)) == self && n.sys.cfg.Coherence.ServesHomeReadsLocally() {
 		if mes := n.sys.mes; mes != nil && mes.ExclusiveOwner(self, area) >= 0 {
 			// MESI: a remote owner may hold silently modified data, so home
-			// memory cannot be trusted. A self-addressed get runs the normal
-			// home path — which recalls the owner under the area lock —
-			// instead of the message-free shortcut.
-			return n.getViaHome(p, area, off, count, acc)
+			// memory cannot be trusted. A plain get addressed to this node
+			// itself runs the normal home path — lock, recall (the owner's
+			// dirty data is written back first), occupancy, detection — and
+			// installs no copy: the home reads its own memory.
+			return n.getRemote(p, n.id, network.KindGetReq, area, off, count, acc, dst)
 		}
 		// The home copy is by definition valid, and the detection state is
 		// resident: the access is checked without any message. (After a
@@ -231,14 +277,17 @@ func (n *NIC) getInvalidate(p *sim.Proc, area memory.Area, off, count int, acc c
 		if err := checkAreaRange(area, off, count); err != nil {
 			return nil, vclock.Masked{}, err
 		}
-		data := make([]memory.Word, count)
+		data := dst
+		if data == nil {
+			data = make([]memory.Word, count)
+		}
 		if err := n.sys.space.Node(area.Home).ReadPublic(area.Off+off, data); err != nil {
 			return nil, vclock.Masked{}, err
 		}
 		p.Sleep(n.sys.occupancy(count))
 		now := p.Now()
 		if n.sys.cfg.Observer != nil {
-			n.sys.cfg.Observer.Access(acc, area, off, count, now)
+			n.sys.cfg.Observer.Access(*acc, area, off, count, now)
 		}
 		n.sys.countHomeRead(int(n.id))
 		if cau := n.sys.cau; cau != nil {
@@ -249,7 +298,7 @@ func (n *NIC) getInvalidate(p *sim.Proc, area memory.Area, off, count int, acc c
 		var absorb vclock.Masked
 		if n.sys.DetectionOn() {
 			acc.Time = now
-			absorb = n.sys.checkAccess(n, acc, area, off, count, now)
+			absorb = n.sys.checkAccess(n, *acc, area, off, count, now)
 		}
 		if n.sys.cfg.AbsorbOnGetReply {
 			return data, absorb, nil
@@ -258,10 +307,13 @@ func (n *NIC) getInvalidate(p *sim.Proc, area memory.Area, off, count int, acc c
 		return data, vclock.Masked{}, nil
 	}
 	if data, w, ok := n.sys.coh.CachedRead(self, area, off, count); ok {
+		if dst != nil { // otherwise CachedRead's fresh slice is the caller's to keep
+			data = deliver(dst, data)
+		}
 		p.Sleep(n.sys.occupancy(count))
 		now := p.Now()
 		if n.sys.cfg.Observer != nil {
-			n.sys.cfg.Observer.Access(acc, area, off, count, now)
+			n.sys.cfg.Observer.Access(*acc, area, off, count, now)
 		}
 		var absorb vclock.Masked
 		if !w.IsNil() && n.sys.cfg.AbsorbOnGetReply {
@@ -274,63 +326,13 @@ func (n *NIC) getInvalidate(p *sim.Proc, area memory.Area, off, count int, acc c
 		return data, absorb, nil
 	}
 	if n.sys.cfg.LegacyInitiator {
-		return n.legacyFetchMiss(p, area, off, count, acc)
+		return n.legacyFetchMiss(p, area, off, count, *acc, dst)
 	}
-	// Miss: fetch the whole area (the coherence unit) from the home.
-	size := network.HeaderBytes
-	hasAcc := n.sys.DetectionOn()
-	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
-	}
-	o := n.sys.grabInit(n, p)
-	// The copy is installed by fetchCapture in the reply's delivery slot —
-	// not here, after the wakeup — so a same-instant invalidation ordered
-	// after the reply finds the copy present and drops it (see fetchCapture).
-	o.area = area
-	o.issue(n.homeOf(area), network.KindFetchReq, size,
-		&req{area: area, off: off, count: count, acc: acc, hasAcc: hasAcc}, o.fetchCaptureFn)
-	o.await()
-	data, clock, err := o.outData, o.clock, o.err()
-	releaseInit(n.ps, o)
-	if err != nil {
-		n.ps.releaseClock(clock)
-		return nil, vclock.Masked{}, err
-	}
-	out := make([]memory.Word, count)
-	copy(out, data[off:off+count])
-	if n.sys.cfg.AbsorbOnGetReply {
-		return out, clock, nil
-	}
-	n.ps.releaseClock(clock)
-	return out, vclock.Masked{}, nil
-}
-
-// getViaHome is the MESI home-local read with a remote exclusive owner: a
-// plain get addressed to this node itself, served through the ordinary home
-// path (lock, recall, occupancy, detection) so the owner's dirty data is
-// written back before the read. No copy is installed and no sharer is
-// registered — the home reads its own memory.
-func (n *NIC) getViaHome(p *sim.Proc, area memory.Area, off, count int, acc core.Access) ([]memory.Word, vclock.Masked, error) {
-	size := network.HeaderBytes
-	hasAcc := n.sys.DetectionOn()
-	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
-	}
-	o := n.sys.grabInit(n, p)
-	o.issue(n.id, network.KindGetReq, size,
-		&req{area: area, off: off, count: count, acc: acc, hasAcc: hasAcc}, o.captureFn)
-	o.await()
-	data, clock, err := o.outData, o.clock, o.err()
-	releaseInit(n.ps, o)
-	if err != nil {
-		n.ps.releaseClock(clock)
-		return nil, vclock.Masked{}, err
-	}
-	if n.sys.cfg.AbsorbOnGetReply {
-		return data, clock, nil
-	}
-	n.ps.releaseClock(clock)
-	return data, vclock.Masked{}, nil
+	// Miss: fetch the whole area (the coherence unit) from the home. The copy
+	// is installed by fetchCapture in the reply's delivery slot — not here,
+	// after the wakeup — so a same-instant invalidation ordered after the
+	// reply finds the copy present and drops it (see fetchCapture).
+	return n.getRemote(p, n.homeOf(area), network.KindFetchReq, area, off, count, acc, dst)
 }
 
 // LockArea acquires the NIC lock of the area for proc (a user-level lock;
@@ -344,8 +346,9 @@ func (n *NIC) LockArea(p *sim.Proc, area memory.Area, proc int) (vclock.Masked, 
 		return n.legacyLockArea(p, area, proc), nil
 	}
 	o := n.sys.grabInit(n, p)
-	o.issue(n.homeOf(area), network.KindLockReq, network.HeaderBytes,
-		&req{area: area, acc: core.Access{Proc: proc}, user: true}, o.captureFn)
+	rr := o.newReq(area)
+	rr.acc.Proc, rr.user = proc, true
+	o.issue(n.homeOf(area), network.KindLockReq, network.HeaderBytes, rr, o.captureFn)
 	o.await()
 	clock, dep, err := o.clock, o.dep, o.err()
 	releaseInit(n.ps, o)
@@ -377,8 +380,10 @@ func (n *NIC) UnlockArea(area memory.Area, proc int, rel vclock.Masked) {
 		obs = cau.ObsSnapshot(int(n.id))
 		size += obs.WireSize()
 	}
-	n.send(n.homeOf(area), network.KindUnlock, size,
-		&req{area: area, acc: core.Access{Proc: proc, Clock: rel.V, ClockNZ: rel.M}, user: true, obs: obs})
+	rr := n.oneWay(area)
+	rr.acc.Proc, rr.acc.Clock, rr.acc.ClockNZ = proc, rel.V, rel.M
+	rr.user, rr.obs = true, obs
+	n.send(n.homeOf(area), network.KindUnlock, size, rr)
 }
 
 // CausalObs returns a fresh copy of this node's causal observation clock,
@@ -402,8 +407,9 @@ func (n *NIC) CausalMergeObs(obs vclock.VC) {
 
 // unlockInternal releases a literal-protocol internal lock acquisition.
 func (n *NIC) unlockInternal(area memory.Area, proc int) {
-	n.send(n.homeOf(area), network.KindUnlock, network.HeaderBytes,
-		&req{area: area, acc: core.Access{Proc: proc}})
+	rr := n.oneWay(area)
+	rr.acc.Proc = proc
+	n.send(n.homeOf(area), network.KindUnlock, network.HeaderBytes, rr)
 }
 
 // ---- Literal protocol: Algorithms 1 and 2, message by message. The hop
@@ -413,8 +419,9 @@ func (n *NIC) unlockInternal(area memory.Area, proc int) {
 // writeClockApply performs put_clock in "apply" form: the home folds the
 // access into the area state (merge per Algorithm 4, home tick, W update).
 func (n *NIC) writeClockApply(area memory.Area, acc core.Access) {
-	n.send(n.homeOf(area), network.KindClockWrite,
-		network.HeaderBytes+acc.Clock.WireSize(), &req{area: area, acc: acc, apply: true})
+	rr := n.oneWay(area)
+	rr.acc, rr.apply = acc, true
+	n.send(n.homeOf(area), network.KindClockWrite, network.HeaderBytes+acc.Clock.WireSize(), rr)
 }
 
 // writeClockRaw performs put_clock with explicit values (the second
@@ -427,7 +434,9 @@ func (n *NIC) writeClockRaw(area memory.Area, v, w vclock.VC) {
 	if w != nil {
 		size += w.WireSize()
 	}
-	n.send(n.homeOf(area), network.KindClockWrite, size, &req{area: area, v: v, w: w})
+	rr := n.oneWay(area)
+	rr.v, rr.w = v, w
+	n.send(n.homeOf(area), network.KindClockWrite, size, rr)
 }
 
 // startLiteral begins a literal-protocol operation: with locks enabled it
@@ -439,8 +448,9 @@ func (n *NIC) writeClockRaw(area memory.Area, v, w vclock.VC) {
 func (o *initOp) startLiteral(stage1 func()) {
 	o.stage1Fn = stage1
 	if o.lockOn {
-		o.issue(o.n.homeOf(o.area), network.KindLockReq, network.HeaderBytes,
-			&req{area: o.area, acc: core.Access{Proc: o.acc.Proc}}, o.grantFn)
+		rr := o.newReq(o.area)
+		rr.acc.Proc = o.acc.Proc
+		o.issue(o.n.homeOf(o.area), network.KindLockReq, network.HeaderBytes, rr, o.grantFn)
 		return
 	}
 	stage1()
@@ -481,12 +491,13 @@ func (n *NIC) putLiteral(p *sim.Proc, area memory.Area, off int, data []memory.W
 // getLiteral is Algorithm 2 verbatim: lock, fetch clocks, compare the
 // initiator clock against the *write* clock, transfer the data, run
 // update_clock on the source area, unlock.
-func (n *NIC) getLiteral(p *sim.Proc, area memory.Area, off, count int, acc core.Access) ([]memory.Word, vclock.Masked, error) {
+func (n *NIC) getLiteral(p *sim.Proc, area memory.Area, off, count int, acc core.Access, dst []memory.Word) ([]memory.Word, vclock.Masked, error) {
 	if n.sys.cfg.LegacyInitiator {
-		return n.legacyGetLiteral(p, area, off, count, acc)
+		return n.legacyGetLiteral(p, area, off, count, acc, dst)
 	}
 	o := n.sys.grabInit(n, p)
 	o.area, o.off, o.count, o.acc = area, off, count, acc
+	o.want, o.into = count, dst
 	o.lockOn = n.sys.cfg.LocksEnabled
 	o.startLiteral(o.getStage1Fn)
 	o.await()

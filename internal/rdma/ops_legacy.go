@@ -10,7 +10,8 @@ import (
 
 // The pre-CPS initiator path: every remote hop performs a full park/resume
 // round trip of the issuing process's goroutine. Kept verbatim behind
-// Config.LegacyInitiator as the reference implementation for the
+// Config.LegacyInitiator (but for copying payloads in and out of the pooled
+// structs' buffers, as every path must) as the reference implementation for the
 // differential determinism suite (TestInitiatorPathDifferential), which
 // runs identical schedules under both paths and requires bit-identical
 // fingerprints. Do not extend this path; new behaviour goes into the
@@ -24,7 +25,7 @@ import (
 // releaseResp.
 func (n *NIC) roundTrip(p *sim.Proc, dst network.NodeID, kind network.Kind, size int, r *req) *resp {
 	rr := n.ps.grabReq()
-	rr.fill(r)
+	rr.copyFrom(r)
 	rr.id = n.ps.nextReq()
 	rr.origin = n.id
 	pd := n.ps.grabPending(p)
@@ -65,7 +66,7 @@ func (n *NIC) legacyPut(p *sim.Proc, area memory.Area, off int, data []memory.Wo
 }
 
 // legacyGet is the parked-path get.
-func (n *NIC) legacyGet(p *sim.Proc, area memory.Area, off, count int, acc core.Access) ([]memory.Word, vclock.Masked, error) {
+func (n *NIC) legacyGet(p *sim.Proc, area memory.Area, off, count int, acc core.Access, dst []memory.Word) ([]memory.Word, vclock.Masked, error) {
 	size := network.HeaderBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
@@ -73,12 +74,14 @@ func (n *NIC) legacyGet(p *sim.Proc, area memory.Area, off, count int, acc core.
 	}
 	rs := n.roundTrip(p, network.NodeID(area.Home), network.KindGetReq, size,
 		&req{area: area, off: off, count: count, acc: acc, hasAcc: hasAcc})
-	data, clock, err := rs.data, rs.clock, asError(rs.err)
-	n.ps.releaseResp(rs)
+	clock, err := rs.clock, asError(rs.err)
 	if err != nil {
+		n.ps.releaseResp(rs)
 		n.ps.releaseClock(clock)
 		return nil, vclock.Masked{}, err
 	}
+	data := deliver(dst, rs.data)
+	n.ps.releaseResp(rs)
 	if n.sys.cfg.AbsorbOnGetReply {
 		return data, clock, nil
 	}
@@ -120,7 +123,7 @@ func (n *NIC) legacyAtomic(p *sim.Proc, area memory.Area, off int, op AtomicOp, 
 // legacyFetchMiss is the parked-path write-invalidate read miss (the
 // home-local and cache-hit branches are shared with the CPS path and never
 // reach here).
-func (n *NIC) legacyFetchMiss(p *sim.Proc, area memory.Area, off, count int, acc core.Access) ([]memory.Word, vclock.Masked, error) {
+func (n *NIC) legacyFetchMiss(p *sim.Proc, area memory.Area, off, count int, acc core.Access, dst []memory.Word) ([]memory.Word, vclock.Masked, error) {
 	size := network.HeaderBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
@@ -128,15 +131,15 @@ func (n *NIC) legacyFetchMiss(p *sim.Proc, area memory.Area, off, count int, acc
 	}
 	rs := n.roundTrip(p, network.NodeID(area.Home), network.KindFetchReq, size,
 		&req{area: area, off: off, count: count, acc: acc, hasAcc: hasAcc})
-	data, clock, err := rs.data, rs.clock, asError(rs.err)
-	n.ps.releaseResp(rs)
+	clock, err := rs.clock, asError(rs.err)
 	if err != nil {
+		n.ps.releaseResp(rs)
 		n.ps.releaseClock(clock)
 		return nil, vclock.Masked{}, err
 	}
-	n.sys.coh.InstallCopy(int(n.id), area, data, clock)
-	out := make([]memory.Word, count)
-	copy(out, data[off:off+count])
+	n.sys.coh.InstallCopy(int(n.id), area, rs.data, clock)
+	out := deliver(dst, rs.data[off:off+count])
+	n.ps.releaseResp(rs)
 	if n.sys.cfg.AbsorbOnGetReply {
 		return out, clock, nil
 	}
@@ -211,7 +214,7 @@ func (n *NIC) legacyPutLiteral(p *sim.Proc, area memory.Area, off int, data []me
 }
 
 // legacyGetLiteral is the parked-path Algorithm 2.
-func (n *NIC) legacyGetLiteral(p *sim.Proc, area memory.Area, off, count int, acc core.Access) ([]memory.Word, vclock.Masked, error) {
+func (n *NIC) legacyGetLiteral(p *sim.Proc, area memory.Area, off, count int, acc core.Access, dst []memory.Word) ([]memory.Word, vclock.Masked, error) {
 	lockOn := n.sys.cfg.LocksEnabled
 	if lockOn {
 		n.lockInternal(p, area, acc.Proc)
@@ -227,7 +230,11 @@ func (n *NIC) legacyGetLiteral(p *sim.Proc, area memory.Area, off, count int, ac
 	}
 	rs := n.roundTrip(p, network.NodeID(area.Home), network.KindGetReq, network.HeaderBytes,
 		&req{area: area, off: off, count: count, acc: acc, hasAcc: false})
-	gotData, err := rs.data, asError(rs.err)
+	err := asError(rs.err)
+	var gotData []memory.Word
+	if err == nil {
+		gotData = deliver(dst, rs.data)
+	}
 	n.ps.releaseResp(rs)
 	var absorb vclock.Masked
 	if err == nil {

@@ -128,7 +128,9 @@ type Config struct {
 // Observer receives apply-order event notifications from the NICs.
 // Implementations must not block; calls happen in event context.
 type Observer interface {
-	// Access fires when a put/get/atomic is applied at its home.
+	// Access fires when a put/get/atomic is applied at its home. Under the
+	// piggyback protocol acc.Clock and acc.Locks alias the parked initiator's
+	// live clock and held-lock list: to keep either past the call, copy it.
 	Access(acc core.Access, area memory.Area, off, count int, at sim.Time)
 	// LockAcq fires when a user-level lock is granted.
 	LockAcq(proc int, area memory.Area, at sim.Time)
@@ -284,6 +286,8 @@ type shardPools struct {
 	pendPool    []*pending
 	opPool      []*homeOp
 	initPool    []*initOp
+	bmsgPool    []*BarrierMsg
+	bclockPool  []*BarrierClock
 	balance     PoolBalance
 	// ret collects foreign-owned structs released on this shard, per owner
 	// shard; the barrier settle moves them home. Nil on a single kernel.
@@ -300,6 +304,9 @@ type retBin struct {
 	pends []*pending
 	ops   []*homeOp
 	inits []*initOp
+	bmsgs []*BarrierMsg
+	// bclocks holds one entry per released reference, not per clock.
+	bclocks []*BarrierClock
 }
 
 // PoolBalance is the live (grabbed minus released) count of every pooled
@@ -315,6 +322,9 @@ type retBin struct {
 // leaked struct.
 type PoolBalance struct {
 	Reqs, Resps, Pendings, HomeOps, InitOps int
+	// BarrierMsgs counts barrier arrival and release records; BarrierClocks
+	// counts merged barrier clocks some participant has yet to absorb.
+	BarrierMsgs, BarrierClocks int
 }
 
 func (b *PoolBalance) add(o PoolBalance) {
@@ -323,6 +333,8 @@ func (b *PoolBalance) add(o PoolBalance) {
 	b.Pendings += o.Pendings
 	b.HomeOps += o.HomeOps
 	b.InitOps += o.InitOps
+	b.BarrierMsgs += o.BarrierMsgs
+	b.BarrierClocks += o.BarrierClocks
 }
 
 // PoolBalance returns the current live pool counts, summed across shards.
@@ -357,35 +369,26 @@ func (s *System) BatchedOps() uint64 {
 func (s *System) settlePools() {
 	for _, ps := range s.pools {
 		for owner := range ps.ret {
-			bin := &ps.ret[owner]
-			op := s.pools[owner]
-			if len(bin.reqs) > 0 {
-				op.balance.Reqs -= len(bin.reqs)
-				op.reqPool = append(op.reqPool, bin.reqs...)
-				bin.reqs = bin.reqs[:0]
+			bin, op := &ps.ret[owner], s.pools[owner]
+			settle(&bin.reqs, &op.reqPool, &op.balance.Reqs)
+			settle(&bin.resps, &op.respPool, &op.balance.Resps)
+			settle(&bin.pends, &op.pendPool, &op.balance.Pendings)
+			settle(&bin.ops, &op.opPool, &op.balance.HomeOps)
+			settle(&bin.inits, &op.initPool, &op.balance.InitOps)
+			settle(&bin.bmsgs, &op.bmsgPool, &op.balance.BarrierMsgs)
+			for _, c := range bin.bclocks {
+				op.releaseBarrierClock(c)
 			}
-			if len(bin.resps) > 0 {
-				op.balance.Resps -= len(bin.resps)
-				op.respPool = append(op.respPool, bin.resps...)
-				bin.resps = bin.resps[:0]
-			}
-			if len(bin.pends) > 0 {
-				op.balance.Pendings -= len(bin.pends)
-				op.pendPool = append(op.pendPool, bin.pends...)
-				bin.pends = bin.pends[:0]
-			}
-			if len(bin.ops) > 0 {
-				op.balance.HomeOps -= len(bin.ops)
-				op.opPool = append(op.opPool, bin.ops...)
-				bin.ops = bin.ops[:0]
-			}
-			if len(bin.inits) > 0 {
-				op.balance.InitOps -= len(bin.inits)
-				op.initPool = append(op.initPool, bin.inits...)
-				bin.inits = bin.inits[:0]
-			}
+			bin.bclocks = bin.bclocks[:0]
 		}
 	}
+}
+
+// settle moves one return bin into its owner's free list.
+func settle[T any](bin, pool *[]T, live *int) {
+	*live -= len(*bin)
+	*pool = append(*pool, *bin...)
+	*bin = (*bin)[:0]
 }
 
 // reclaimDropped is the network's drop hook: a dropped message vanishes
@@ -397,8 +400,9 @@ func (s *System) settlePools() {
 // destination's for a delivery-time drop (crashed destination) — and its
 // pools take the payload. With a hostile schedule armed, the fault layer is
 // told first so the loss converts to recovery (retransmission marks, NACK
-// bounces, vacuous invalidation acks) instead of a silent stall. User-level
-// payloads (barriers) are not pooled here and pass through untouched.
+// bounces, vacuous invalidation acks) instead of a silent stall. A lost
+// barrier message has no recovery (its barrier never completes); its record
+// and its share of the merged clock are reclaimed like any other payload.
 func (s *System) reclaimDropped(ctxShard int, src, dst network.NodeID, kind network.Kind, payload any) {
 	ps := s.pools[ctxShard]
 	switch pl := payload.(type) {
@@ -469,7 +473,7 @@ func (s *System) reclaimDropped(ctxShard int, src, dst network.NodeID, kind netw
 				// own timeout, just delivered at a deterministic instant.
 				ps.releaseClock(pl.clock)
 				pl.clock = vclock.Masked{}
-				pl.data, pl.v, pl.w = nil, nil, nil
+				pl.data, pl.v, pl.w = nil, nil, nil // the payload buffer stays with the struct
 				pl.err = lostErr
 				s.net.SendExempt(&network.Message{Src: src, Dst: dst, Kind: kind,
 					Size: network.HeaderBytes, Payload: pl})
@@ -479,6 +483,8 @@ func (s *System) reclaimDropped(ctxShard int, src, dst network.NodeID, kind netw
 		// Acks, replies and lock grants piggyback pooled absorb clocks.
 		ps.releaseClock(pl.clock)
 		ps.releaseResp(pl)
+	case *BarrierMsg:
+		ps.releaseBarrierMsg(pl)
 	}
 }
 
@@ -508,6 +514,7 @@ func (ps *shardPools) releaseOp(o *homeOp) {
 	o.absorb = vclock.Masked{}
 	o.old = 0
 	o.ver = 0
+	o.invalLeft, o.invalRecall = 0, false
 	if int(owner) == ps.idx {
 		ps.balance.HomeOps--
 		ps.opPool = append(ps.opPool, o)
@@ -551,7 +558,7 @@ func (ps *shardPools) grabResp() *resp {
 
 func (ps *shardPools) releaseResp(r *resp) {
 	owner := r.owner
-	*r = resp{}
+	*r = resp{buf: r.buf}
 	if int(owner) == ps.idx {
 		ps.balance.Resps--
 		ps.respPool = append(ps.respPool, r)
@@ -631,7 +638,7 @@ func NewSystem(net *network.Network, space *memory.Space, cfg Config) *System {
 			id:        network.NodeID(i),
 			k:         net.KernelFor(network.NodeID(i)),
 			ps:        s.pools[net.ShardOf(network.NodeID(i))],
-			invalWait: make(map[uint64]*invalJoin),
+			invalWait: make(map[uint64]*homeOp),
 			locks:     make([]*lockState, space.AreaCount()),
 		}
 		s.nics = append(s.nics, nic)

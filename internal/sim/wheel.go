@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // The future-event queue is a hierarchical timing wheel: wheelLevels levels
 // of 64 slots each, where a level-L slot spans 64^L nanoseconds of virtual
@@ -12,9 +16,9 @@ import "math/bits"
 // Determinism contract: events pop in exactly (at, seq) order, byte-identical
 // to the heap implementation. Time order comes from the slot geometry (an
 // event is only ever popped out of a level-0 slot, which spans a single
-// nanosecond); seq order among same-instant events comes from the min-seq
-// scan of that slot, which holds them in arbitrary arrival order (direct
-// pushes interleave with cascades).
+// nanosecond); seq order among same-instant events comes from ordering that
+// slot once, when its drain starts — until then it holds them in arbitrary
+// arrival order (direct pushes interleave with cascades).
 //
 // Two invariants carry all the correctness weight:
 //
@@ -55,19 +59,44 @@ type wheel struct {
 	slots  [wheelLevels][wheelSlots][]*event // per-slot event lists
 	over   []*event                          // beyond-horizon overflow
 	overAt Time                              // min at over `over` (valid when non-empty)
-	// peeked caches the event located by the last peekWithin, with its slot
-	// coordinates, so the immediately following take needs no re-search.
+	// draining names the level-0 slot (index+1; 0 for none) whose list is
+	// held in ascending seq order from index head on, the taken prefix before
+	// it nil: peekWithin orders a slot the first time it serves from it, take
+	// advances head, and a late push into it — usually the largest seq so
+	// far — appends, sifting down only past larger seqs. Draining an instant
+	// of k events costs one ordering pass, not k scans. A level-0 slot only
+	// ever holds events of a single instant (they all lie within 64ns after
+	// the cursor and agree modulo 64).
+	draining int
+	head     int
+	// peeked caches the event located by the last peekWithin — the head of
+	// level-0 slot pSlot — so the immediately following take needs no search.
 	peeked *event
 	pSlot  int
-	pIdx   int
 }
 
 func (w *wheel) len() int { return w.count + len(w.over) }
 
-// invalidatePeek drops the cached peek. Required after resident events'
-// keys are rewritten in place (the window barrier's replay): a cached peek
-// memoises a min-seq scan that the rewrite may have invalidated.
-func (w *wheel) invalidatePeek() { w.peeked = nil }
+// invalidatePeek drops the cached peek and the draining slot's order.
+// Required after resident events' keys are rewritten in place (the window
+// barrier's replay): both memoise a seq order the rewrite may have changed.
+func (w *wheel) invalidatePeek() {
+	w.peeked = nil
+	w.endDrain()
+}
+
+// endDrain returns the draining slot to an ordinary unordered one, closing
+// up its taken prefix.
+func (w *wheel) endDrain() {
+	if w.draining == 0 {
+		return
+	}
+	list := w.slots[0][w.draining-1]
+	n := copy(list, list[w.head:])
+	clear(list[n:])
+	w.slots[0][w.draining-1] = list[:n]
+	w.draining, w.head = 0, 0
+}
 
 // push inserts an event; e.at must be >= w.cur (the kernel only schedules
 // at or after its current time, and the cursor never passes that — for a
@@ -92,7 +121,16 @@ func (w *wheel) push(e *event) {
 		level = (bits.Len64(uint64(d)) - 1) / wheelBits
 	}
 	idx := int(uint64(e.at)>>(uint(level)*wheelBits)) & (wheelSlots - 1)
-	w.slots[level][idx] = append(w.slots[level][idx], e)
+	list := append(w.slots[level][idx], e)
+	if level == 0 && w.draining == idx+1 {
+		// Keep the draining slot ordered: sift e down from the tail.
+		i := len(list) - 1
+		for ; i > w.head && list[i-1].seq > e.seq; i-- {
+			list[i] = list[i-1]
+		}
+		list[i] = e
+	}
+	w.slots[level][idx] = list
 	w.occ[level] |= 1 << uint(idx)
 	w.count++
 }
@@ -163,9 +201,14 @@ func (w *wheel) peekWithin(limit Time) *event {
 				w.rehomeOverflow()
 				continue
 			}
+			list := w.slots[0][idx]
+			if w.draining != idx+1 {
+				w.endDrain()
+				w.draining = idx + 1
+				orderAscending(list)
+			}
 			w.pSlot = idx
-			w.pIdx = minSeqIndex(w.slots[0][idx])
-			w.peeked = w.slots[0][idx][w.pIdx]
+			w.peeked = list[w.head]
 			return w.peeked
 		}
 		// Slow path: move the cursor to the earliest pending slot across all
@@ -235,12 +278,11 @@ func (w *wheel) next() (int, Time) {
 func (w *wheel) take() *event {
 	e := w.peeked
 	list := w.slots[0][w.pSlot]
-	last := len(list) - 1
-	list[w.pIdx] = list[last]
-	list[last] = nil
-	w.slots[0][w.pSlot] = list[:last]
-	if last == 0 {
+	list[w.head] = nil
+	if w.head++; w.head == len(list) {
+		w.slots[0][w.pSlot] = list[:0]
 		w.occ[0] &^= 1 << uint(w.pSlot)
+		w.draining, w.head = 0, 0
 	}
 	w.count--
 	// e sits in the cursor's current 64ns window, so this never crosses a
@@ -250,16 +292,16 @@ func (w *wheel) take() *event {
 	return e
 }
 
-// minSeqIndex returns the index of the smallest-seq event in a slot; slots
-// are small and each is scanned only while its instant drains.
-func minSeqIndex(list []*event) int {
-	best := 0
+// orderAscending sorts a slot by seq. A slot is usually filled by one burst
+// (a barrier's releases, a fan-out) whose arrival order is seq order already,
+// and the check is then the whole job.
+func orderAscending(list []*event) {
 	for i := 1; i < len(list); i++ {
-		if list[i].seq < list[best].seq {
-			best = i
+		if list[i].seq < list[i-1].seq {
+			slices.SortFunc(list, func(a, b *event) int { return cmp.Compare(a.seq, b.seq) })
+			return
 		}
 	}
-	return best
 }
 
 // each calls fn for every resident event, including overflow, in no
@@ -271,7 +313,9 @@ func (w *wheel) each(fn func(*event)) {
 			i := bits.TrailingZeros64(occ)
 			occ &^= 1 << uint(i)
 			for _, e := range w.slots[l][i] {
-				fn(e)
+				if e != nil { // the draining slot's taken prefix
+					fn(e)
+				}
 			}
 		}
 	}

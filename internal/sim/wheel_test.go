@@ -185,3 +185,78 @@ func TestWheelSameInstantSeqOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestWheelInstantDrainMatchesHeap files k events at one instant from every
+// placement the kernel produces — far-filed ones that reach level 0 by
+// cascade, direct level-0 pushes, the two interleaved so the slot's arrival
+// order is far from seq order — plus neighbours just before and after, and
+// pushes more events at the same instant *while it drains* (smaller and
+// larger seqs than what is left). The wheel orders a slot once when its
+// drain starts and keeps it ordered, and now and then is told to forget the
+// order mid-drain; the pop sequence must still be exactly the reference
+// heap's.
+func TestWheelInstantDrainMatchesHeap(t *testing.T) {
+	for _, k := range []int{1, 2, 64, 1000} {
+		var w wheel
+		var h refHeap
+		r := rand.New(rand.NewSource(int64(k)))
+		// Seqs are drawn from a shuffled pool so arrival order and seq order
+		// disagree; the first 2k+4 go to the initial filing, the rest to the
+		// mid-drain pushes.
+		seqs := r.Perm(4*k + 8)
+		next := 0
+		file := func(at Time) {
+			e := &event{at: at, seq: uint64(seqs[next] + 1)}
+			next++
+			w.push(e)
+			heap.Push(&h, &event{at: e.at, seq: e.seq})
+		}
+		const at = Time(3<<12 + 17) // reached through a level-2 cascade
+		for i := 0; i < k; i++ {
+			file(at) // far-filed: parked in a coarse bucket
+		}
+		file(at - 1)
+		file(at + 1)
+		// Bring the cursor next to the instant (popping the neighbour before
+		// it), then file directly into the level-0 slot the cascade fills.
+		pop := func(where string) *event {
+			t.Helper()
+			got := w.peekWithin(timeMax)
+			if got == nil {
+				t.Fatalf("k=%d %s: wheel empty with %d pending", k, where, h.Len())
+			}
+			got = w.take()
+			want := heap.Pop(&h).(*event)
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("k=%d %s: wheel popped (%d,%d), heap says (%d,%d)", k, where, got.at, got.seq, want.at, want.seq)
+			}
+			return got
+		}
+		pop("approach")
+		for i := 0; i < k; i++ {
+			file(at)
+		}
+		file(at + 1)
+		file(at + 64) // one window ahead: same level-0 index must not mix in
+		// Drain the instant, pushing into it as it drains.
+		for drained := 0; h.Len() > 0; drained++ {
+			e := pop("drain")
+			if e.at == at && drained%3 == 0 && next < len(seqs) {
+				file(at)
+			}
+			if drained%7 == 3 {
+				// A half-drained slot still enumerates exactly what is left,
+				// and survives losing its order (the window barrier's replay).
+				resident := 0
+				w.each(func(*event) { resident++ })
+				if resident != h.Len() {
+					t.Fatalf("k=%d: each visits %d events mid-drain, %d are pending", k, resident, h.Len())
+				}
+				w.invalidatePeek()
+			}
+		}
+		if w.len() != 0 {
+			t.Fatalf("k=%d: wheel reports %d events after drain", k, w.len())
+		}
+	}
+}
