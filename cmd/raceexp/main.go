@@ -101,12 +101,14 @@ func expT1() {
 	fmt.Println("claim check: vw = 2*(2+8n) bytes — linear in n (Charron-Bost floor), exactly double the single clock (§IV-D).")
 }
 
-// expT2: per-op wire cost for put and get under each protocol at n=4,10.
+// expT2: per-op wire cost for put and get under each protocol at n=4,10:
+// the literal protocol's fixed clock format against the piggyback
+// protocol's sparse one.
 func expT2() {
-	run := func(n int, det, proto string, read, compress bool) (msgs, bytes float64) {
+	run := func(n int, det, proto string, read bool) (msgs, bytes float64) {
 		const ops = 40
 		spec := dsmrace.RunSpec{
-			Procs: n, Seed: 1, Detector: det, Protocol: proto, CompressClocks: compress,
+			Procs: n, Seed: 1, Detector: det, Protocol: proto,
 			Setup: func(c *dsmrace.Cluster) error { return c.Alloc("x", n-1, 4) },
 		}
 		progs := make([]dsmrace.Program, n)
@@ -129,30 +131,19 @@ func expT2() {
 	for _, n := range []int{4, 10} {
 		tb := stats.NewTable(fmt.Sprintf("wire cost per operation, n=%d", n),
 			"op", "mode", "msgs/op", "bytes/op")
-		for _, mode := range []struct {
-			det, proto string
-			compress   bool
-		}{
-			{"off", "piggyback", false},
-			{"vw", "piggyback", false},
-			{"vw", "piggyback", true},
-			{"vw", "literal", false},
+		for _, mode := range []struct{ det, proto, label string }{
+			{"off", "piggyback", "detector off"},
+			{"vw", "piggyback", "piggyback-sparse"},
+			{"vw", "literal", "literal-fixed"},
 		} {
-			label := "detector off"
-			if mode.det != "off" {
-				label = mode.proto
-				if mode.compress {
-					label += "+delta"
-				}
-			}
-			m, by := run(n, mode.det, mode.proto, false, mode.compress)
-			tb.Row("put", label, m, by)
-			m, by = run(n, mode.det, mode.proto, true, mode.compress)
-			tb.Row("get", label, m, by)
+			m, by := run(n, mode.det, mode.proto, false)
+			tb.Row("put", mode.label, m, by)
+			m, by = run(n, mode.det, mode.proto, true)
+			tb.Row("get", mode.label, m, by)
 		}
 		fmt.Print(tb)
 	}
-	fmt.Println("claim check: literal Algorithm 1 costs 13 msgs/put and 10 msgs/get; piggyback needs the same 2 msgs as detection-off, paying only clock bytes; delta encoding shrinks the clock bytes to near-constant.")
+	fmt.Println("claim check: literal Algorithm 1 costs 13 msgs/put and 10 msgs/get in the fixed 2+8n clock format; piggyback needs the same 2 msgs as detection-off, paying only clock bytes, and ships each clock sparse (bitmap + live components) or as a 2-byte covered marker.")
 }
 
 // scoreWorkload runs w under det and scores against exact ground truth.

@@ -276,14 +276,14 @@ func TestWriteInvalidateMechanics(t *testing.T) {
 
 // TestWriteInvalidateWordGranularityCompressed exercises the
 // write-invalidate transport composed with word-granularity detection
-// states and delta-compressed clock accounting (the fetch reply's clock
-// rides the same logical channel as get replies), plus latency jitter —
-// and requires two identical-seed runs to agree bit for bit.
+// states — whose merged per-word absorb clocks ride fetch replies in the
+// compressed (sparse) clock wire format — plus latency jitter, and requires
+// two identical-seed runs to agree bit for bit.
 func TestWriteInvalidateWordGranularityCompressed(t *testing.T) {
 	run := func() *Result {
 		res, err := Run(RunSpec{
 			Procs: 3, Seed: 3, Detector: "vw", Coherence: "write-invalidate",
-			Granularity: "word", CompressClocks: true, Jitter: 0.2,
+			Granularity: "word", Jitter: 0.2,
 			Setup: func(c *Cluster) error { return c.Alloc("x", 0, 4) },
 			Program: func(p *Proc) error {
 				for i := 0; i < 30; i++ {

@@ -177,9 +177,6 @@ type RunSpec struct {
 	// Jitter adds ±fraction latency noise, letting different seeds explore
 	// different interleavings.
 	Jitter float64
-	// CompressClocks transmits clock deltas instead of full vectors (wire
-	// byte accounting only; verdicts unaffected).
-	CompressClocks bool
 	// Kernels requests partitioned multi-kernel execution: the cluster's
 	// nodes split across this many kernel shards running in parallel under
 	// conservative time windows, bit-identical to the single-kernel run
@@ -246,7 +243,6 @@ func (s RunSpec) build() (*Cluster, []Program, error) {
 	default:
 		return nil, nil, fmt.Errorf("dsmrace: unknown granularity %q", s.Granularity)
 	}
-	rcfg.CompressClocks = s.CompressClocks
 	lat := s.Latency
 	if lat == nil {
 		lat = network.DefaultIB()

@@ -37,23 +37,6 @@ func TestWordGranularityRejectsLiteral(t *testing.T) {
 	}
 }
 
-func TestCompressClocksThroughFacade(t *testing.T) {
-	run := func(compress bool) uint64 {
-		spec := racySpec(1)
-		spec.CompressClocks = compress
-		spec.Trace = false
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.NetStats.TotalBytes
-	}
-	full, delta := run(false), run(true)
-	if delta >= full {
-		t.Fatalf("delta bytes %d >= full %d", delta, full)
-	}
-}
-
 func TestCustomLatencyModel(t *testing.T) {
 	// A much slower network stretches virtual completion time.
 	run := func(lat network.LatencyModel) Time {

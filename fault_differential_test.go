@@ -245,6 +245,37 @@ func TestFaultCrashRehoming(t *testing.T) {
 	}
 }
 
+// TestFaultCrashDeliveryDropEveryPartition crashes a home while requests
+// and invalidations to it are in flight, at instants spread across several
+// round trips, with detection off — no clock rides any message, so the
+// outcome cannot depend on the clock wire format. A message the crashed
+// destination drops at delivery must bounce (a NACK for a request, a
+// vacuous ack for an invalidation) whether or not its sender shares the
+// destination's kernel shard: one kernel, two shards (sender and home
+// together) and four (apart) must replay identically.
+func TestFaultCrashDeliveryDropEveryPartition(t *testing.T) {
+	w := workload.HostileUniform(4, 8, 4, 30)
+	for _, coh := range []string{"write-update", "write-invalidate"} {
+		mut := func(c *rdma.Config) {
+			c.Detector, c.Collector = nil, nil
+			c.Coherence = mustCoherence(coh)
+		}
+		for at := 20 * sim.Microsecond; at < 28*sim.Microsecond; at += 397 {
+			sched := &fault.Schedule{Seed: 5, Events: []fault.Event{{At: at, Op: fault.Crash, Node: 0}}}
+			want, _ := runFaulty(t, w, sched, 0, 11, mut)
+			for _, k := range []int{1, 2, 4} {
+				got, c := runFaulty(t, w, sched, k, 11, mut)
+				g, wnt := got, want
+				g.kernels, wnt.kernels = 0, 0
+				if g != wnt {
+					t.Fatalf("%s, crash at %v, k=%d: delivery-time drop recovered differently:\n got  %+v\n want %+v", coh, at, k, g, wnt)
+				}
+				auditPools(t, c, coh+"/crash-delivery-drop")
+			}
+		}
+	}
+}
+
 // TestFaultCoherenceBackends runs the fault differential against the causal
 // and MESI backends: a benign fault layer must stay invisible at every
 // kernel count, and a hostile schedule — drops, an outage window, a crash

@@ -53,7 +53,6 @@ func TestInitiatorPathDifferential(t *testing.T) {
 			c.Coherence = mustCoherenceProtocol(t, "write-invalidate")
 		}},
 		{name: "compress-word", mut: func(c *rdma.Config) {
-			c.CompressClocks = true
 			c.Granularity = rdma.GranularityWord
 		}},
 		{name: "no-absorb", mut: func(c *rdma.Config) {

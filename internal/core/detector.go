@@ -207,10 +207,10 @@ type AreaState interface {
 
 // AbsorbElider is implemented by area states that can prove an absorb
 // clock is already covered by the access's own clock and skip materialising
-// it (returning a Covered Masked instead). The transport opts in per run:
-// elision is only sound when the reply's clock bytes can be accounted
-// without the value (fixed wire format, no CompressClocks) and nothing else
-// consumes the reply clock (no caching coherence protocol).
+// it (returning a Covered Masked instead, which ships as the 2-byte covered
+// marker). The transport opts in per run: elision is only sound when
+// nothing else consumes the reply clock (no caching coherence protocol,
+// no per-word fan-out merging the reply).
 type AbsorbElider interface {
 	EnableAbsorbElision()
 }

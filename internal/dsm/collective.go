@@ -36,7 +36,7 @@ func (b *barrierCoord) arrive(a *rdma.BarrierMsg) {
 		panic(fmt.Sprintf("dsm: P%d arrived at barrier %d while barrier %d is open", a.Proc, a.Epoch, b.epoch))
 	}
 	b.procs = append(b.procs, a.Proc)
-	b.merged.V.Merge(a.Clock)
+	b.merged.C.Merge(a.Clock)
 	if a.Obs != nil {
 		if b.obs == nil {
 			b.obs = a.Obs // fresh copy shipped in the arrival; adopt it
@@ -57,11 +57,10 @@ func (b *barrierCoord) arrive(a *rdma.BarrierMsg) {
 		}
 		r := nic.GrabBarrierMsg()
 		r.Proc, r.Merged = proc, b.merged
-		size := network.HeaderBytes + b.merged.V.WireSize()
 		if b.obs != nil {
 			r.Obs = b.obs.Copy()
-			size += r.Obs.WireSize()
 		}
+		size := network.HeaderBytes + b.c.sys.ClockBytes(b.merged.C) + b.c.sys.ClockBytes(vclock.Dense(r.Obs))
 		nic.SendUser(network.NodeID(proc), network.KindBarrier, size, r)
 	}
 	b.procs, b.merged, b.obs = b.procs[:0], nil, nil
@@ -75,11 +74,8 @@ func (p *Proc) Barrier() {
 	p.barrierDone = false
 	nic := p.c.sys.NIC(p.id)
 	a := nic.GrabBarrierMsg()
-	a.Proc, a.Epoch, a.Clock, a.Obs = p.id, p.epoch, p.clock.V, nic.CausalObs()
-	size := network.HeaderBytes + a.Clock.WireSize()
-	if a.Obs != nil {
-		size += a.Obs.WireSize()
-	}
+	a.Proc, a.Epoch, a.Clock, a.Obs = p.id, p.epoch, p.clock, nic.CausalObs()
+	size := network.HeaderBytes + p.c.sys.ClockBytes(a.Clock) + p.c.sys.ClockBytes(vclock.Dense(a.Obs))
 	nic.SendUser(0, network.KindBarrier, size, a)
 	for !p.barrierDone {
 		p.sp.ParkN("barrier", p.epoch)
@@ -93,9 +89,9 @@ func (p *Proc) Barrier() {
 func (p *Proc) barrierRelease(r *rdma.BarrierMsg) {
 	nic := p.c.sys.NIC(p.id)
 	nic.CausalMergeObs(r.Obs)
-	// The merged clock has contributions from every process: merge it
-	// densely (the mask saturates, as it must).
-	p.clock.Merge(vclock.Dense(r.Merged.V))
+	// The merged clock's mask is the union of every arrival's, so the
+	// process clock's mask stays exact.
+	p.clock.Merge(r.Merged.C)
 	nic.ReleaseBarrierMsg(r)
 	p.barrierDone = true
 	p.sp.Ready()

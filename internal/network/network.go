@@ -187,7 +187,7 @@ func (f *inflight) deliver() {
 				net.Dropped++
 			}
 			if net.OnDrop != nil {
-				net.OnDrop(sh, f.m.Src, f.m.Dst, f.m.Kind, f.m.Payload)
+				net.OnDrop(sh, true, f.m.Src, f.m.Dst, f.m.Kind, f.m.Payload)
 			}
 			f.m.Payload = nil
 			if f.sh != nil {
@@ -297,14 +297,18 @@ type Network struct {
 	// every dropped message before it vanishes, so the layer that pooled the
 	// payload can reclaim it into the right shard's pool (a dropped
 	// round-trip request has no reply to trigger the usual release; a
-	// dropped reply has no receiver at all). ctxShard is the shard whose
-	// execution context the drop happens in: the source's shard for
-	// send-time drops (down links, drop-policy losses), the destination's
-	// shard for delivery-time drops (crashed destination) — the hook may
-	// only touch that shard's pools. The hook deliberately does not see the
-	// *Message: taking it would make every caller's Message literal escape
-	// to the heap, and Send is the hottest transport call in the simulator.
-	OnDrop func(ctxShard int, src, dst NodeID, kind Kind, payload any)
+	// dropped reply has no receiver at all). atDelivery tells the two drop
+	// sites apart: false for send-time drops (down links, drop-policy
+	// losses), true for delivery-time drops (the destination crashed while
+	// the message was in flight). ctxShard is the shard whose execution
+	// context the drop happens in — the source's for a send-time drop, the
+	// destination's for a delivery-time one — and the hook may only touch
+	// that shard's pools. (The shard cannot tell the sites apart: on one
+	// kernel, or on a link inside one shard, both are the same.) The hook
+	// deliberately does not see the *Message: taking it would make every
+	// caller's Message literal escape to the heap, and Send is the hottest
+	// transport call in the simulator.
+	OnDrop func(ctxShard int, atDelivery bool, src, dst NodeID, kind Kind, payload any)
 	// DropPolicy, when non-nil, is consulted for every send that survives
 	// the link/node checks and may declare the message lost (probabilistic
 	// fault injection). It runs in the source shard's context and must be a
@@ -628,14 +632,14 @@ func (n *Network) send(m *Message, exempt bool) {
 	if n.anyDown && n.down[link] {
 		n.Dropped++
 		if n.OnDrop != nil {
-			n.OnDrop(0, m.Src, m.Dst, m.Kind, m.Payload)
+			n.OnDrop(0, false, m.Src, m.Dst, m.Kind, m.Payload)
 		}
 		return
 	}
 	if n.fviews != nil && !exempt && n.faultDrop(0, link, m) {
 		n.Dropped++
 		if n.OnDrop != nil {
-			n.OnDrop(0, m.Src, m.Dst, m.Kind, m.Payload)
+			n.OnDrop(0, false, m.Src, m.Dst, m.Kind, m.Payload)
 		}
 		return
 	}
@@ -684,14 +688,14 @@ func (n *Network) sendSharded(m *Message, exempt bool) {
 	if n.anyDown && n.down[link] {
 		ss.dropped++
 		if n.OnDrop != nil {
-			n.OnDrop(sh, m.Src, m.Dst, m.Kind, m.Payload)
+			n.OnDrop(sh, false, m.Src, m.Dst, m.Kind, m.Payload)
 		}
 		return
 	}
 	if n.fviews != nil && !exempt && n.faultDrop(sh, link, m) {
 		ss.dropped++
 		if n.OnDrop != nil {
-			n.OnDrop(sh, m.Src, m.Dst, m.Kind, m.Payload)
+			n.OnDrop(sh, false, m.Src, m.Dst, m.Kind, m.Payload)
 		}
 		return
 	}

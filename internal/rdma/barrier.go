@@ -8,7 +8,7 @@ import "dsmrace/internal/vclock"
 // receiving handler releases it, the drop hook reclaims one lost in transit.
 type BarrierMsg struct {
 	Proc, Epoch int
-	Clock       vclock.VC     // arrival: aliases the parked process's live clock
+	Clock       vclock.Masked // arrival: aliases the parked process's live clock
 	Merged      *BarrierClock // release: one reference to the epoch's merged clock
 	Obs         vclock.VC     // causal observation clock (a fresh copy; nil unless causal)
 	owner       int32
@@ -17,8 +17,10 @@ type BarrierMsg struct {
 // BarrierClock is one barrier epoch's merged clock, shared by every release
 // of the epoch: written by the coordinator until it sends the first release,
 // immutable from then on, recycled when the last of its refs readers lets go.
+// Its mask is the union of the arrival masks, so releases ship sparse when
+// the participants' clocks are.
 type BarrierClock struct {
-	V     vclock.VC
+	C     vclock.Masked
 	refs  int
 	owner int32
 }
@@ -63,9 +65,10 @@ func (n *NIC) GrabBarrierClock(refs int) *BarrierClock {
 	var c *BarrierClock
 	if k := len(ps.bclockPool); k > 0 {
 		c, ps.bclockPool = ps.bclockPool[k-1], ps.bclockPool[:k-1]
-		clear(c.V)
+		clear(c.C.V)
+		clear(c.C.M)
 	} else {
-		c = &BarrierClock{V: vclock.New(n.sys.space.N())}
+		c = &BarrierClock{C: vclock.NewMasked(n.sys.space.N())}
 	}
 	c.refs, c.owner = refs, int32(ps.idx)
 	return c

@@ -20,7 +20,9 @@
 //
 // Both protocols produce identical verdicts (the comparison happens against
 // the same state, under the same lock); they differ only in message count
-// and bytes, which is what experiment E-T2 measures.
+// and bytes, which is what experiment E-T2 measures. The literal protocol
+// ships every clock in the paper's fixed 2+8n format; the piggyback
+// protocol ships vclock's sparse wire format (System.ClockBytes).
 //
 // Both sides of every operation are event-driven. The home side serves
 // requests as pooled homeOp continuations inside message-delivery events

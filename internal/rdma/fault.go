@@ -127,9 +127,12 @@ func replyKindFor(k network.Kind) (network.Kind, bool) {
 // knowing the request never left (the req itself is reclaimed by the caller
 // with the message). A delivery-time drop runs at the crashed destination:
 // bounce a NACK — fault-check-exempt, sent on the dead node's behalf — so
-// the initiator learns of the loss in its own context.
-func (s *System) faultReqLost(ps *shardPools, ctxShard int, src, dst network.NodeID, kind network.Kind, r *req) {
-	if ctxShard == s.net.ShardOf(src) {
+// the initiator learns of the loss in its own context. The drop site comes
+// from the network, never from comparing shards: initiator and destination
+// share a shard on one kernel and on intra-shard links, and a delivery-time
+// drop there must still bounce, or recovery would depend on the partition.
+func (s *System) faultReqLost(ps *shardPools, atDelivery bool, src, dst network.NodeID, kind network.Kind, r *req) {
+	if !atDelivery {
 		ini := s.nics[src]
 		if i := ini.findPending(r.id); i >= 0 {
 			if op := ini.pending[i].op; op != nil && op.deadline != 0 {
@@ -155,9 +158,10 @@ func (s *System) faultReqLost(ps *shardPools, ctxShard int, src, dst network.Nod
 // bounces an ack message on the dead sharer's behalf. (A send-time inval
 // drop can also mean a cut home→sharer link with the sharer alive; its stale
 // copy then survives unseen by the directory — WI link cuts are lossy for
-// coherence, see ARCHITECTURE.md.)
-func (s *System) faultInvalLost(ps *shardPools, ctxShard int, src, dst network.NodeID, r *req) {
-	if ctxShard == s.net.ShardOf(src) {
+// coherence, see ARCHITECTURE.md.) As in faultReqLost, the drop site comes
+// from the network.
+func (s *System) faultInvalLost(ps *shardPools, atDelivery bool, src, dst network.NodeID, r *req) {
+	if !atDelivery {
 		s.nics[src].ackInval(r.id)
 		return
 	}

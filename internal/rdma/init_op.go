@@ -107,24 +107,32 @@ func (s *System) grabInit(n *NIC, p *sim.Proc) *initOp {
 		o = &initOp{owner: int32(ps.idx)}
 		o.captureFn = o.capture
 		o.fetchCaptureFn = o.fetchCapture
-		o.grantFn = o.grant
-		o.putStage1Fn = o.putStage1
-		o.putClocks1Fn = o.putClocks1
-		o.putStage2Fn = o.putStage2
-		o.putAckFn = o.putAck
-		o.putStage3Fn = o.putStage3
-		o.putClocksDiscFn = o.putClocksDiscard
-		o.putStage4Fn = o.putStage4
-		o.putClocks3Fn = o.putClocks3
-		o.getStage1Fn = o.getStage1
-		o.getClocks1Fn = o.getClocks1
-		o.getStage2Fn = o.getStage2
-		o.getReplyFn = o.getReply
-		o.getStage3Fn = o.getStage3
-		o.getClocks2Fn = o.getClocks2
+		if s.cfg.Protocol == ProtocolLiteral {
+			o.bindLiteral()
+		}
 	}
 	o.n, o.p = n, p
 	return o
+}
+
+// bindLiteral binds the literal protocol's hop continuations, once per
+// struct; piggyback runs never take them and skip the closures.
+func (o *initOp) bindLiteral() {
+	o.grantFn = o.grant
+	o.putStage1Fn = o.putStage1
+	o.putClocks1Fn = o.putClocks1
+	o.putStage2Fn = o.putStage2
+	o.putAckFn = o.putAck
+	o.putStage3Fn = o.putStage3
+	o.putClocksDiscFn = o.putClocksDiscard
+	o.putStage4Fn = o.putStage4
+	o.putClocks3Fn = o.putClocks3
+	o.getStage1Fn = o.getStage1
+	o.getClocks1Fn = o.getClocks1
+	o.getStage2Fn = o.getStage2
+	o.getReplyFn = o.getReply
+	o.getStage3Fn = o.getStage3
+	o.getClocks2Fn = o.getClocks2
 }
 
 // releaseInit recycles a completed initiator operation. The caller must have

@@ -665,12 +665,9 @@ func (o *homeOp) serveRead(readOff, readLen int, replyKind network.Kind) {
 	}
 	o.release()
 	size := network.HeaderBytes + len(rs.data)*memory.WordBytes +
-		n.sys.replyClockBytes(n, chanKey{ack: true, node: r.origin, area: r.area.ID}, o.absorb)
+		n.sys.ClockBytes(o.absorb) + n.sys.ClockBytes(vclock.Dense(rs.dep))
 	if rs.ver != 0 {
 		size += 8
-	}
-	if rs.dep != nil {
-		size += rs.dep.WireSize()
 	}
 	if o.err != nil {
 		rs.data = nil
@@ -726,7 +723,7 @@ func (o *homeOp) finishWrite() {
 				data := make([]memory.Word, count)
 				_ = n.sys.space.Node(r.area.Home).ReadPublic(r.area.Off+off, data)
 				u := &updateMsg{area: r.area, off: off, data: data, ver: ver, dep: dep}
-				size := network.HeaderBytes + count*memory.WordBytes + 8 + dep.WireSize()
+				size := network.HeaderBytes + count*memory.WordBytes + 8 + n.sys.ClockBytes(vclock.Dense(dep))
 				for _, node := range sharers {
 					n.sys.net.Send(&network.Message{Src: n.id, Dst: network.NodeID(node),
 						Kind: network.KindUpdate, Size: size, Area: wireArea(r.area), Payload: u})
@@ -756,7 +753,7 @@ func (o *homeOp) finish() {
 		}
 	}
 	o.release()
-	size := network.HeaderBytes + n.sys.replyClockBytes(n, chanKey{ack: true, node: r.origin, area: r.area.ID}, o.absorb)
+	size := network.HeaderBytes + n.sys.ClockBytes(o.absorb)
 	if o.ver != 0 {
 		size += 8
 	}
@@ -864,16 +861,13 @@ func (n *NIC) handleLock(m *network.Message) {
 			// after release gets a bare grant the initiator absorbs as an
 			// orphan.
 			rs := n.ps.grabResp()
-			size := network.HeaderBytes
 			if r.user && l.held && l.owner == r.acc.Proc && !l.relClock.IsNil() {
 				rs.clock = l.relClock.CopyInto(n.ps.grabClock())
-				size += rs.clock.V.WireSize()
 			}
 			if r.user && l.held && l.owner == r.acc.Proc && l.relObs != nil {
 				rs.dep = l.relObs.Copy()
-				size += rs.dep.WireSize()
 			}
-			n.reply(r, network.KindLockGrant, size, rs)
+			n.reply(r, network.KindLockGrant, n.grantBytes(rs), rs)
 			n.ps.releaseReq(r)
 			return
 		}
@@ -894,7 +888,6 @@ func (r *req) grantLock() {
 	// grants carry the previous releaser's clock (release→acquire edge),
 	// copied into a pooled buffer the acquirer releases after absorbing.
 	rs := n.ps.grabResp()
-	size := network.HeaderBytes
 	if r.user && !l.relClock.IsNil() {
 		if n.sys.fArm {
 			// Copy semantics under hostile schedules: the slot must
@@ -914,13 +907,11 @@ func (r *req) grantLock() {
 			rs.clock = l.relClock
 			l.relClock = vclock.Masked{}
 		}
-		size += rs.clock.V.WireSize()
 	}
 	if r.user && l.relObs != nil {
 		// Causal coherence: the grant carries the accumulated releaser
 		// observation clock (a fresh copy the acquirer owns outright).
 		rs.dep = l.relObs.Copy()
-		size += rs.dep.WireSize()
 	}
 	if r.user && n.sys.cfg.Observer != nil {
 		n.sys.cfg.Observer.LockAcq(r.acc.Proc, r.area, n.k.Now())
@@ -929,10 +920,16 @@ func (r *req) grantLock() {
 		l.msgHeld = true
 		l.lastGrant = r.id
 	}
-	n.reply(r, network.KindLockGrant, size, rs)
+	n.reply(r, network.KindLockGrant, n.grantBytes(rs), rs)
 	if n.sys.faultOn {
 		n.ps.releaseReq(r) // home-side request ownership; see serveRead
 	}
+}
+
+// grantBytes is the wire size of a lock grant: the header, the release
+// clock and the causal dependency clock it carries.
+func (n *NIC) grantBytes(rs *resp) int {
+	return network.HeaderBytes + n.sys.ClockBytes(rs.clock) + n.sys.ClockBytes(vclock.Dense(rs.dep))
 }
 
 func (n *NIC) handleUnlock(m *network.Message) {
@@ -971,7 +968,7 @@ func (n *NIC) handleClockRead(m *network.Message) {
 	size := network.HeaderBytes
 	if ca, ok := n.sys.stateFor(r.area, 0).(core.ClockAccessor); ok {
 		rs.v, rs.w = ca.Clocks()
-		size += rs.v.WireSize() + rs.w.WireSize()
+		size += n.sys.ClockBytes(vclock.Dense(rs.v)) + n.sys.ClockBytes(vclock.Dense(rs.w))
 	} else {
 		rs.err = "detector has no clocks"
 	}

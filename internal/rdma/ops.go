@@ -54,14 +54,14 @@ func (n *NIC) Put(p *sim.Proc, area memory.Area, off int, vals []memory.Word, ac
 	size := network.HeaderBytes + len(data)*memory.WordBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
+		size += n.sys.ClockBytes(accClock(acc))
 	}
 	var obs vclock.VC
 	if cau := n.sys.cau; cau != nil {
 		// Causal coherence: the request ships the writer's observation
 		// snapshot; the home folds it into the area's dependency clock.
 		obs = cau.ObsSnapshot(self)
-		size += obs.WireSize()
+		size += n.sys.ClockBytes(vclock.Dense(obs))
 	}
 	o := n.sys.grabInit(n, p)
 	rr := o.newReq(area)
@@ -140,7 +140,7 @@ func (n *NIC) getRemote(p *sim.Proc, home network.NodeID, kind network.Kind, are
 	size := network.HeaderBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
+		size += n.sys.ClockBytes(accClock(*acc))
 	}
 	o := n.sys.grabInit(n, p)
 	o.want, o.into = count, dst
@@ -209,12 +209,12 @@ func (n *NIC) atomic(p *sim.Proc, area memory.Area, off int, op AtomicOp, a1, a2
 	size := network.HeaderBytes + 2*memory.WordBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
+		size += n.sys.ClockBytes(accClock(acc))
 	}
 	var obs vclock.VC
 	if cau := n.sys.cau; cau != nil {
 		obs = cau.ObsSnapshot(self)
-		size += obs.WireSize()
+		size += n.sys.ClockBytes(vclock.Dense(obs))
 	}
 	o := n.sys.grabInit(n, p)
 	o.into = n.word[:]
@@ -369,16 +369,13 @@ func (n *NIC) LockArea(p *sim.Proc, area memory.Area, proc int) (vclock.Masked, 
 // the next acquirer (one-way; FIFO links guarantee it cannot overtake the
 // holder's earlier traffic to the home).
 func (n *NIC) UnlockArea(area memory.Area, proc int, rel vclock.Masked) {
-	size := network.HeaderBytes
-	if !rel.IsNil() {
-		size += rel.V.WireSize()
-	}
+	size := network.HeaderBytes + n.sys.ClockBytes(rel)
 	var obs vclock.VC
 	if cau := n.sys.cau; cau != nil {
 		// Causal coherence: ship the releaser's observation clock so the
 		// next acquirer inherits it (release half of the acquire edge).
 		obs = cau.ObsSnapshot(int(n.id))
-		size += obs.WireSize()
+		size += n.sys.ClockBytes(vclock.Dense(obs))
 	}
 	rr := n.oneWay(area)
 	rr.acc.Proc, rr.acc.Clock, rr.acc.ClockNZ = proc, rel.V, rel.M
@@ -421,19 +418,13 @@ func (n *NIC) unlockInternal(area memory.Area, proc int) {
 func (n *NIC) writeClockApply(area memory.Area, acc core.Access) {
 	rr := n.oneWay(area)
 	rr.acc, rr.apply = acc, true
-	n.send(n.homeOf(area), network.KindClockWrite, network.HeaderBytes+acc.Clock.WireSize(), rr)
+	n.send(n.homeOf(area), network.KindClockWrite, network.HeaderBytes+n.sys.ClockBytes(accClock(acc)), rr)
 }
 
 // writeClockRaw performs put_clock with explicit values (the second
 // update_clock of Algorithm 1; idempotent by construction).
 func (n *NIC) writeClockRaw(area memory.Area, v, w vclock.VC) {
-	size := network.HeaderBytes
-	if v != nil {
-		size += v.WireSize()
-	}
-	if w != nil {
-		size += w.WireSize()
-	}
+	size := network.HeaderBytes + n.sys.ClockBytes(vclock.Dense(v)) + n.sys.ClockBytes(vclock.Dense(w))
 	rr := n.oneWay(area)
 	rr.v, rr.w = v, w
 	n.send(n.homeOf(area), network.KindClockWrite, size, rr)

@@ -47,7 +47,7 @@ func (n *NIC) legacyPut(p *sim.Proc, area memory.Area, off int, data []memory.Wo
 	size := network.HeaderBytes + len(data)*memory.WordBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
+		size += n.sys.ClockBytes(accClock(acc))
 	}
 	rs := n.roundTrip(p, network.NodeID(area.Home), network.KindPutReq, size,
 		&req{area: area, off: off, data: data, acc: acc, hasAcc: hasAcc})
@@ -70,7 +70,7 @@ func (n *NIC) legacyGet(p *sim.Proc, area memory.Area, off, count int, acc core.
 	size := network.HeaderBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
+		size += n.sys.ClockBytes(accClock(acc))
 	}
 	rs := n.roundTrip(p, network.NodeID(area.Home), network.KindGetReq, size,
 		&req{area: area, off: off, count: count, acc: acc, hasAcc: hasAcc})
@@ -94,7 +94,7 @@ func (n *NIC) legacyAtomic(p *sim.Proc, area memory.Area, off int, op AtomicOp, 
 	size := network.HeaderBytes + 2*memory.WordBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
+		size += n.sys.ClockBytes(accClock(acc))
 	}
 	rs := n.roundTrip(p, network.NodeID(area.Home), network.KindAtomicReq, size,
 		&req{area: area, off: off, op: op, arg1: a1, arg2: a2, acc: acc, hasAcc: hasAcc})
@@ -127,7 +127,7 @@ func (n *NIC) legacyFetchMiss(p *sim.Proc, area memory.Area, off, count int, acc
 	size := network.HeaderBytes
 	hasAcc := n.sys.DetectionOn()
 	if hasAcc {
-		size += n.sys.clockBytesFor(n, chanKey{node: n.id, area: area.ID}, acc.Clock)
+		size += n.sys.ClockBytes(accClock(acc))
 	}
 	rs := n.roundTrip(p, network.NodeID(area.Home), network.KindFetchReq, size,
 		&req{area: area, off: off, count: count, acc: acc, hasAcc: hasAcc})

@@ -97,8 +97,9 @@ func balanceConfigs() map[string]Config {
 			c.LegacyInitiator = true
 		}),
 		"write-invalidate": mk(func(c *Config) { c.Coherence = mustCoherence("write-invalidate") }),
-		"compress":         mk(func(c *Config) { c.CompressClocks = true }),
-		"detection-off":    {LocksEnabled: true, NICDelay: 200, MemPerWord: 2},
+		// Sparse (compressed) clocks merged across a word fan-out.
+		"compress":      mk(func(c *Config) { c.Granularity = GranularityWord }),
+		"detection-off": {LocksEnabled: true, NICDelay: 200, MemPerWord: 2},
 	}
 }
 

@@ -101,11 +101,6 @@ type Config struct {
 	// Observer, when non-nil, receives apply-order notifications of memory
 	// and user-lock events (trace recording).
 	Observer Observer
-	// CompressClocks accounts clock wire bytes with the delta encoding
-	// (each channel sends only the components that changed since its last
-	// message) instead of the full 2+8n fixed format. An optimisation
-	// ablation for E-T2; verdicts are unaffected.
-	CompressClocks bool
 	// LegacyInitiator routes initiator-side operations through the pre-CPS
 	// parked path (one goroutine park/resume round trip per protocol hop)
 	// instead of the continuation-passing path. A test shim: it exists only
@@ -165,6 +160,8 @@ func (c Config) Validate(nodes int, faults bool) error {
 		caches, kind = c.Coherence.CachesRemoteReads(), c.Coherence.Kind()
 	}
 	switch {
+	case nodes > vclock.MaxWireComponents:
+		return fmt.Errorf("rdma: %d nodes exceed the clock wire format's %d components", nodes, vclock.MaxWireComponents)
 	case literal && c.Granularity == GranularityWord:
 		return errors.New("rdma: word granularity requires the piggyback protocol")
 	case literal && caches:
@@ -193,15 +190,6 @@ func (c Config) Validate(nodes int, faults bool) error {
 		}
 	}
 	return nil
-}
-
-// chanKey identifies a logical clock channel (one direction of one
-// initiator↔area conversation) for the CompressClocks decoder state. A
-// struct key keeps the per-message accounting free of string formatting.
-type chanKey struct {
-	ack  bool // false: request (initiator→home); true: ack/reply (home→initiator)
-	node network.NodeID
-	area memory.AreaID
 }
 
 // System owns the NICs, the detection state and the lock tables for a
@@ -253,13 +241,12 @@ type System struct {
 }
 
 // shardPools is one kernel shard's slice of the per-operation pools: the
-// request/response/continuation free lists, the piggybacked clock buffers,
-// the CompressClocks decoder state and the request-id counter. On a single
-// kernel there is exactly one; in a sharded system each shard owns one and
-// only ever touches its own — a pooled struct released on a shard that did
-// not grab it goes into that shard's return bin and travels home at the
-// next window barrier (settle), which is also what keeps the per-shard
-// balance audit exact.
+// request/response/continuation free lists, the piggybacked clock buffers
+// and the request-id counter. On a single kernel there is exactly one; in a
+// sharded system each shard owns one and only ever touches its own — a
+// pooled struct released on a shard that did not grab it goes into that
+// shard's return bin and travels home at the next window barrier (settle),
+// which is also what keeps the per-shard balance audit exact.
 type shardPools struct {
 	idx    int
 	reqSeq uint64
@@ -268,11 +255,6 @@ type shardPools struct {
 	// table or a home's invalidation join. Zero on a single kernel, which
 	// keeps its ids — and everything downstream — bit-identical.
 	idBase uint64
-	// lastClock remembers, per logical channel, the last clock whose bytes
-	// were accounted — the receiver's decoder state for CompressClocks. A
-	// channel's sender is a fixed node, so each channel lives in exactly one
-	// shard's map and the per-channel delta stream is untouched by sharding.
-	lastClock map[chanKey]vclock.VC
 	// clockPool recycles the masked clock buffers piggybacked on replies
 	// (the "absorb" clocks). Buffers are fungible (no audit, no owner): a
 	// clock grabbed at the home and absorbed by a remote initiator is
@@ -397,23 +379,24 @@ func settle[T any](bin, pool *[]T, live *int) {
 // request it no longer owns; a dropped reply's resp has no receiver at all).
 // ctxShard is the shard in whose execution context the drop happened — the
 // sender's for a send-time drop (cut link, down source, drop policy), the
-// destination's for a delivery-time drop (crashed destination) — and its
-// pools take the payload. With a hostile schedule armed, the fault layer is
-// told first so the loss converts to recovery (retransmission marks, NACK
-// bounces, vacuous invalidation acks) instead of a silent stall. A lost
+// destination's for a delivery-time drop (crashed destination, atDelivery)
+// — and its pools take the payload. With a hostile schedule armed, the
+// fault layer is told first so the loss converts to recovery
+// (retransmission marks, NACK bounces, vacuous invalidation acks) instead
+// of a silent stall. A lost
 // barrier message has no recovery (its barrier never completes); its record
 // and its share of the merged clock are reclaimed like any other payload.
-func (s *System) reclaimDropped(ctxShard int, src, dst network.NodeID, kind network.Kind, payload any) {
+func (s *System) reclaimDropped(ctxShard int, atDelivery bool, src, dst network.NodeID, kind network.Kind, payload any) {
 	ps := s.pools[ctxShard]
 	switch pl := payload.(type) {
 	case *req:
 		if s.fArm {
 			switch kind {
 			case network.KindInval:
-				s.faultInvalLost(ps, ctxShard, src, dst, pl)
+				s.faultInvalLost(ps, atDelivery, src, dst, pl)
 			case network.KindPutReq, network.KindGetReq, network.KindFetchReq,
 				network.KindClockRead, network.KindAtomicReq, network.KindLockReq:
-				s.faultReqLost(ps, ctxShard, src, dst, kind, pl)
+				s.faultReqLost(ps, atDelivery, src, dst, kind, pl)
 			case network.KindUnlock, network.KindClockWrite:
 				// One-way control messages have no end-to-end recovery (no
 				// reply, no deadline), and losing an unlock wedges its lock
@@ -424,21 +407,12 @@ func (s *System) reclaimDropped(ctxShard int, src, dst network.NodeID, kind netw
 				// dead source's late unlock must NOT release a lock the
 				// crash sweep already handed to the next waiter) and
 				// reclaims below.
-				if ctxShard == s.net.ShardOf(src) &&
-					!s.net.NodeFaulted(ctxShard, src) && !s.net.NodeFaulted(ctxShard, dst) {
-					size := network.HeaderBytes
-					if pl.acc.Clock != nil {
-						size += pl.acc.Clock.WireSize()
-					}
-					if pl.v != nil {
-						size += pl.v.WireSize()
-					}
-					if pl.w != nil {
-						size += pl.w.WireSize()
-					}
-					if pl.obs != nil {
-						size += pl.obs.WireSize()
-					}
+				if !atDelivery && !s.net.NodeFaulted(ctxShard, src) && !s.net.NodeFaulted(ctxShard, dst) {
+					// The same size function over the same payload: the
+					// retransmission charges exactly what the original did.
+					size := network.HeaderBytes + s.ClockBytes(accClock(pl.acc)) +
+						s.ClockBytes(vclock.Dense(pl.v)) + s.ClockBytes(vclock.Dense(pl.w)) +
+						s.ClockBytes(vclock.Dense(pl.obs))
 					s.net.SendExempt(&network.Message{Src: src, Dst: dst, Kind: kind,
 						Size: size, Area: wireArea(pl.area), Payload: pl})
 					return
@@ -450,7 +424,7 @@ func (s *System) reclaimDropped(ctxShard int, src, dst network.NodeID, kind netw
 		// the req. Data requests must not release theirs: a piggyback access
 		// clock aliases the initiating process's live clock.
 		if kind == network.KindUnlock && pl.user && pl.acc.Clock != nil {
-			ps.releaseClock(vclock.Masked{V: pl.acc.Clock, M: pl.acc.ClockNZ})
+			ps.releaseClock(accClock(pl.acc))
 		}
 		ps.releaseReq(pl)
 	case *resp:
@@ -606,7 +580,7 @@ func NewSystem(net *network.Network, space *memory.Space, cfg Config) *System {
 	s.multi = net.Multi() != nil
 	shards := net.ShardCount()
 	for i := 0; i < shards; i++ {
-		ps := &shardPools{idx: i, lastClock: make(map[chanKey]vclock.VC)}
+		ps := &shardPools{idx: i}
 		if shards > 1 {
 			// Namespaced ids: shard in the top 16 bits, counter below. A
 			// single kernel keeps idBase 0, i.e. the historical id stream.
@@ -622,11 +596,12 @@ func NewSystem(net *network.Network, space *memory.Space, cfg Config) *System {
 	s.cau, _ = s.coh.(coherence.CausalState)
 	s.mes, _ = s.coh.(coherence.MESIState)
 	net.OnDrop = s.reclaimDropped
-	// Covered-absorb elision (see core.AbsorbElider) is sound when the
-	// reply clock's wire bytes are value-independent (fixed format, so not
-	// under CompressClocks), no replica machinery consumes the reply clock
-	// (write-update only), and states are not fanned out per word.
-	s.elideAbsorb = cfg.Protocol == ProtocolPiggyback && !cfg.CompressClocks &&
+	// Covered-absorb elision (see core.AbsorbElider) is sound when no
+	// replica machinery consumes the reply clock (write-update only) and
+	// states are not fanned out per word. A covered reply ships the 2-byte
+	// covered marker: the home holds the parked initiator's request clock,
+	// which dominates the reply.
+	s.elideAbsorb = cfg.Protocol == ProtocolPiggyback &&
 		cfg.Granularity != GranularityWord && !cfg.Coherence.CachesRemoteReads()
 	space.Seal()
 	if cfg.Granularity == GranularityArea {
@@ -874,51 +849,22 @@ func (s *System) signal(n *NIC, rep *core.Report, at sim.Time) {
 	n.k.LogOrdered(func() { s.cfg.Collector.Signal(rc) })
 }
 
-// clockBytes returns the wire size of one clock under the current system
-// size, or 0 when detection is off.
-func (s *System) clockBytes() int {
-	if !s.DetectionOn() {
-		return 0
+// ClockBytes returns the wire bytes of clock c riding on a message: the one
+// size function every clock that crosses the network goes through. The
+// piggyback protocol ships vclock's wire format (Masked.WireLen: sparse or
+// fixed, whichever is smaller, or the 2-byte covered marker); the literal
+// protocol keeps the paper's fixed format. Plain VCs (causal observation
+// and dependency clocks, the literal protocol's raw clock reads and writes)
+// go in through vclock.Dense and so ship fixed. No clock costs nothing.
+func (s *System) ClockBytes(c vclock.Masked) int {
+	if s.cfg.Protocol == ProtocolLiteral {
+		c.M = nil
 	}
-	return vclock.WireSizeFor(s.space.N())
+	return c.WireLen()
 }
 
-// replyClockBytes returns the wire bytes of the clock piggybacked on a
-// reply. A Covered absorb still carries a full fixed-format clock on the
-// wire — only its local materialisation was elided (which is why elision is
-// disabled under CompressClocks, whose accounting needs the value). The
-// decoder state lives with the sending NIC's shard (n), which is the only
-// context that ever accounts this channel.
-func (s *System) replyClockBytes(n *NIC, ch chanKey, clk vclock.Masked) int {
-	if clk.Covered {
-		return s.clockBytes()
-	}
-	return s.clockBytesFor(n, ch, clk.V)
-}
-
-// clockBytesFor returns the wire bytes of transmitting clk on the given
-// logical channel. With CompressClocks only the delta against the channel's
-// previous clock is charged (the peer keeps the decoder state); the size is
-// computed without building the encoding and the channel's decoder-state
-// buffer is recycled in place. A channel is written only from its sender's
-// shard, and the delta stream depends only on that channel's own history,
-// so per-shard decoder maps reproduce the single-kernel accounting exactly.
-func (s *System) clockBytesFor(n *NIC, ch chanKey, clk vclock.VC) int {
-	if clk == nil {
-		return 0
-	}
-	if !s.cfg.CompressClocks {
-		return clk.WireSize()
-	}
-	ps := n.ps
-	prev, ok := ps.lastClock[ch]
-	if !ok {
-		prev = vclock.New(clk.Len())
-	}
-	size := clk.DeltaSize(prev)
-	ps.lastClock[ch] = clk.CopyInto(prev)
-	return size
-}
+// accClock is an access's clock with its occupancy mask.
+func accClock(acc core.Access) vclock.Masked { return vclock.Masked{V: acc.Clock, M: acc.ClockNZ} }
 
 // occupancy is how long the NIC holds the area lock while moving words.
 func (s *System) occupancy(words int) sim.Time {

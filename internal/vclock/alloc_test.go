@@ -36,7 +36,9 @@ func TestHotPathAllocationFree(t *testing.T) {
 		_ = scratch.MergeAndCompare(b)
 	})
 	assertZeroAllocs(t, "AppendBinary", func() { buf = a.AppendBinary(buf[:0]) })
-	assertZeroAllocs(t, "DeltaSize", func() { _ = a.DeltaSize(b) })
+	sparse := NewMasked(256)
+	sparse.Tick(9)
+	assertZeroAllocs(t, "WireLen", func() { _ = sparse.WireLen() })
 }
 
 func TestCopyIntoGrowsAndAliases(t *testing.T) {
@@ -112,16 +114,18 @@ func TestAppendBinaryMatchesMarshal(t *testing.T) {
 	}
 }
 
-func TestDeltaSizeMatchesAppendDelta(t *testing.T) {
-	base := VC{0, 1000, 1 << 30, 3, 0}
-	for _, v := range []VC{
-		{0, 1000, 1 << 30, 3, 0},
-		{1, 1000, 1 << 30, 3, 0},
-		{128, 1001, 1 << 35, 4, 1 << 60},
-	} {
-		want := len(v.AppendDelta(nil, base))
-		if got := v.DeltaSize(base); got != want {
-			t.Errorf("DeltaSize(%v, %v) = %d, want %d", v, base, got, want)
+func TestWireLenMatchesAppendWire(t *testing.T) {
+	sparse := NewMasked(130)
+	sparse.Tick(0)
+	sparse.Tick(129)
+	sparse.M.Set(64) // a marked zero still ships
+	full := NewMasked(4)
+	for i := range full.V {
+		full.Tick(i)
+	}
+	for _, m := range []Masked{{}, {Covered: true}, Dense(VC{}), Dense(VC{1, 2}), sparse, full, NewMasked(256)} {
+		if got, want := m.WireLen(), len(m.AppendWire(nil)); got != want {
+			t.Errorf("WireLen(%v/%b) = %d, encoder wrote %d", m.V, m.M, got, want)
 		}
 	}
 }

@@ -2,14 +2,16 @@
 // detector is built on: vector clocks with the Mattern comparison lattice
 // (Algorithm 3 / Lemma 1), the max-merge of Algorithm 4, matrix clocks
 // (the per-process clock matrix V_Pi of §IV-B), Lamport scalar clocks, and
-// compact binary encodings used to account for clock bytes on the wire.
+// the binary encodings that account for clock bytes on the wire: the fixed
+// 2+8n format, and the wire format of wire.go (sparse bitmap + live
+// components, fixed, or the covered marker, whichever the clock needs).
 //
 // The Masked representation (masked.go) couples a clock with a word-granular
 // occupancy bitmap so every hot-path walk skips provably-zero spans —
 // O(communicating processes) per access instead of O(cluster size) — while
 // staying observationally identical to the dense operations (pinned by a
-// lockstep shadow suite and fuzzer). Masks are node-local metadata: they
-// never travel on the wire, and only StorageBytes accounts for them.
+// lockstep shadow suite and fuzzer). The bitmap is what the sparse wire form
+// ships in place of the zero components.
 //
 // Every compare and max, dense or masked, runs through the branch-free
 // kernels of kernels.go: cmpBlock, maxBlock and maxCmpBlock over equal-length

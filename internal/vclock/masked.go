@@ -9,6 +9,12 @@ import "math/bits"
 // never to decide values — so masked operations are observationally
 // identical to their dense counterparts (the property the fuzz suite in
 // masked_test.go pins).
+//
+// A mask is exact when a bit is set if and only if its component is
+// nonzero. Tick, Merge, MergeAndCompare and CopyInto keep exact masks exact
+// (only a dense, nil-mask operand saturates), so clocks built from NewMasked
+// stay exact — which makes their sparse wire size (WireLen) a function of
+// the clock's value alone.
 type Mask []uint64
 
 // MaskWords returns the number of mask words covering n components.
@@ -109,8 +115,7 @@ type Masked struct {
 	// Covered marks an elided absorb clock: the producer proved the
 	// consumer's clock dominates the clock that would have been returned,
 	// so merging it would be a no-op and no bytes were materialised (V is
-	// nil). Transport accounting still charges the full clock — it is
-	// logically on the wire; only the local copy was skipped.
+	// nil). It ships as the 2-byte covered marker (see AppendWire).
 	Covered bool
 }
 
@@ -292,38 +297,10 @@ func (m Masked) CopyInto(dst Masked) Masked {
 // Copy returns an independent copy of m.
 func (m Masked) Copy() Masked { return m.CopyInto(Masked{}) }
 
-// DeltaSize returns the wire size of the delta encoding of m.V against
-// base.V (the VC.DeltaSize format), skipping blocks dead in both masks —
-// such components are zero on both sides and never encoded.
-func (m Masked) DeltaSize(base Masked) int {
-	n := len(m.V)
-	if len(base.V) != n {
-		panic("vclock: delta base size mismatch")
-	}
-	var changed uint64
-	size := 0
-	nw := MaskWords(n)
-	for w := 0; w < nw; w++ {
-		u := m.M.word(w, n) | base.M.word(w, n)
-		if u == 0 {
-			continue
-		}
-		b, end := blockSpan(w, n)
-		for i := b; i < end; i++ {
-			if m.V[i] != base.V[i] {
-				changed++
-				size += uvarintLen(uint64(i)) + uvarintLen(m.V[i])
-			}
-		}
-	}
-	return uvarintLen(changed) + size
-}
-
 // StorageBytes is the modelled footprint of the masked representation: the
 // clock's fixed wire size plus the occupancy bitmap (8 bytes per 64
 // components). This is the E-T1 accounting for detectors that keep masked
-// clocks; the mask is pure node-local metadata and never crosses the wire
-// (WireSize is unchanged).
+// clocks, independent of the form a clock takes on the wire (WireLen).
 func (m Masked) StorageBytes() int { return m.V.WireSize() + 8*MaskWords(len(m.V)) }
 
 // CheckInvariant verifies the mask covers every nonzero component (test

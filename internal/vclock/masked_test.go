@@ -39,6 +39,44 @@ func randMasked(r *rand.Rand, n int) Masked {
 	return m
 }
 
+// randExact builds a random masked clock of n components whose mask is
+// exact: a bit is set if and only if its component is nonzero.
+func randExact(r *rand.Rand, n int) Masked {
+	m := NewMasked(n)
+	for k := r.Intn(n + 1); k > 0; k-- {
+		i := r.Intn(n)
+		m.V[i] = uint64(1 + r.Intn(100))
+		m.M.Set(i)
+	}
+	return m
+}
+
+// isExact reports whether m's mask marks exactly its nonzero components.
+func isExact(m Masked) bool {
+	if m.M == nil {
+		return false
+	}
+	for i, x := range m.V {
+		if (x != 0) != m.M.Has(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// refWireLen is the wire size of an exactly-masked clock computed from its
+// dense value alone: the smaller of the fixed form and the sparse form
+// shipping every nonzero component.
+func refWireLen(v VC) int {
+	nz := 0
+	for _, x := range v {
+		if x != 0 {
+			nz++
+		}
+	}
+	return min(v.WireSize(), 2+8*MaskWords(len(v))+8*nz)
+}
+
 var maskedSizes = []int{1, 3, 63, 64, 65, 130, 256}
 
 // TestMaskedObservationalEquivalence drives random operation sequences
@@ -89,8 +127,11 @@ func TestMaskedObservationalEquivalence(t *testing.T) {
 			if !m.CheckInvariant() {
 				t.Fatalf("n=%d step %d: mask invariant violated: %v / %b", n, step, m.V, m.M)
 			}
-			if got, want := m.DeltaSize(o), m.V.DeltaSize(oShadow); got != want {
-				t.Fatalf("n=%d step %d: DeltaSize = %d, dense says %d", n, step, got, want)
+			if dec, _, err := DecodeWire(m.AppendWire(nil)); err != nil || !bytes.Equal(vcBytes(dec.V), vcBytes(shadow)) {
+				t.Fatalf("n=%d step %d: wire round trip = %v (%v), dense says %v", n, step, dec.V, err, shadow)
+			}
+			if got, fixed := m.WireLen(), shadow.WireSize(); got > fixed {
+				t.Fatalf("n=%d step %d: WireLen = %d exceeds the fixed %d", n, step, got, fixed)
 			}
 			if got, want := m.ConcurrentWith(o), ConcurrentWith(m.V, oShadow); got != want {
 				t.Fatalf("n=%d step %d: ConcurrentWith = %v, dense says %v", n, step, got, want)
@@ -174,7 +215,10 @@ func TestMaskedTickAllocFree(t *testing.T) {
 // FuzzMaskedEquivalence feeds arbitrary operation scripts to the masked
 // implementation and a plain-slice shadow driven by the per-element
 // reference (kernels_test.go) in lockstep — the dense operations share the
-// masked ones' kernels, so they cannot be the oracle.
+// masked ones' kernels, so they cannot be the oracle. Bit 2 of an op byte
+// picks an exactly-masked operand; while every operand so far was exact,
+// the clock (and a copy of it) must stay exact and its wire size must be
+// the one its dense value dictates.
 func FuzzMaskedEquivalence(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(uint8(130), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})

@@ -220,13 +220,9 @@ func (v VC) String() string {
 
 // WireSize returns the number of bytes the clock occupies in the fixed
 // binary encoding. Experiment E-T1 uses this to measure the storage overhead
-// discussed in §IV-C/§V-A.
-func (v VC) WireSize() int { return WireSizeFor(len(v)) }
-
-// WireSizeFor returns the fixed-encoding wire size of an n-component clock
-// without building one — the single definition transport accounting that
-// cannot see a clock value (e.g. covered-absorb elision) must share.
-func WireSizeFor(n int) int { return 2 + 8*n }
+// discussed in §IV-C/§V-A; transport accounting goes through Masked.WireLen,
+// which picks the smaller of this and the sparse form.
+func (v VC) WireSize() int { return fixedLen(len(v)) }
 
 // MarshalBinary encodes the clock as a uint16 length followed by big-endian
 // uint64 components.
@@ -267,87 +263,6 @@ func (v *VC) UnmarshalBinary(data []byte) error {
 	}
 	*v = c
 	return nil
-}
-
-// AppendDelta appends a delta encoding of v relative to base to dst and
-// returns the extended slice. Components equal to the base are skipped;
-// each changed component is written as (uvarint index, uvarint value).
-// This is the optimised wire format measured in the E-T2 ablation.
-func (v VC) AppendDelta(dst []byte, base VC) []byte {
-	if len(base) != len(v) {
-		panic("vclock: delta base size mismatch")
-	}
-	var changed uint64
-	for i := range v {
-		if v[i] != base[i] {
-			changed++
-		}
-	}
-	dst = binary.AppendUvarint(dst, changed)
-	for i := range v {
-		if v[i] != base[i] {
-			dst = binary.AppendUvarint(dst, uint64(i))
-			dst = binary.AppendUvarint(dst, v[i])
-		}
-	}
-	return dst
-}
-
-// DeltaSize returns len(v.AppendDelta(nil, base)) without building the
-// encoding — the wire-byte accounting path charges delta bytes per message
-// and must not allocate per message to do so.
-func (v VC) DeltaSize(base VC) int {
-	if len(base) != len(v) {
-		panic("vclock: delta base size mismatch")
-	}
-	var changed uint64
-	size := 0
-	for i := range v {
-		if v[i] != base[i] {
-			changed++
-			size += uvarintLen(uint64(i)) + uvarintLen(v[i])
-		}
-	}
-	return uvarintLen(changed) + size
-}
-
-// uvarintLen is the number of bytes binary.AppendUvarint emits for x.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-// DecodeDelta decodes a delta produced by AppendDelta on top of base,
-// returning the reconstructed clock and the number of bytes consumed.
-func DecodeDelta(data []byte, base VC) (VC, int, error) {
-	out := base.Copy()
-	pos := 0
-	changed, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, 0, errors.New("vclock: bad delta header")
-	}
-	pos += n
-	for k := uint64(0); k < changed; k++ {
-		idx, n1 := binary.Uvarint(data[pos:])
-		if n1 <= 0 {
-			return nil, 0, errors.New("vclock: bad delta index")
-		}
-		pos += n1
-		val, n2 := binary.Uvarint(data[pos:])
-		if n2 <= 0 {
-			return nil, 0, errors.New("vclock: bad delta value")
-		}
-		pos += n2
-		if idx >= uint64(len(out)) {
-			return nil, 0, fmt.Errorf("vclock: delta index %d out of range", idx)
-		}
-		out[idx] = val
-	}
-	return out, pos, nil
 }
 
 // Truncate returns a copy of v keeping only the first k components. It is

@@ -227,56 +227,77 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
-func TestDeltaRoundTrip(t *testing.T) {
-	f := func(base8, next8 [8]uint8) bool {
-		base, next := New(8), New(8)
-		for i := range base8 {
-			base[i] = uint64(base8[i])
-			// Keep most components identical to exercise the sparse path.
-			if next8[i] < 64 {
-				next[i] = base[i]
-			} else {
-				next[i] = uint64(next8[i])
+func TestWireRoundTrip(t *testing.T) {
+	f := func(vals [8]uint8, marks uint8) bool {
+		// Mark a random superset of the nonzero components: set bits over
+		// zero values must survive the trip too.
+		m := NewMasked(8)
+		for i, x := range vals {
+			if x >= 128 {
+				m.V[i] = uint64(x)
+			}
+			if m.V[i] != 0 || marks&(1<<i) != 0 {
+				m.M.Set(i)
 			}
 		}
-		enc := next.AppendDelta(nil, base)
-		got, n, err := DecodeDelta(enc, base)
-		if err != nil || n != len(enc) {
+		enc := m.AppendWire(nil)
+		got, n, err := DecodeWire(enc)
+		if err != nil || n != len(enc) || n != m.WireLen() {
 			return false
 		}
-		return reflect.DeepEqual(got, next)
+		return reflect.DeepEqual(got.V, m.V) && string(got.AppendWire(nil)) == string(enc)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDeltaSmallerThanFullForSparseChange(t *testing.T) {
-	base := New(64)
-	next := base.Copy()
-	next.Tick(3)
-	enc := next.AppendDelta(nil, base)
-	if len(enc) >= next.WireSize() {
-		t.Fatalf("delta %d bytes, full %d bytes — delta should win for one change", len(enc), next.WireSize())
+func TestSparseSmallerThanFixedForSparseClock(t *testing.T) {
+	m := NewMasked(64)
+	m.Tick(3)
+	if got, want := m.WireLen(), 2+8+8; got != want {
+		t.Fatalf("one live component of 64: %d bytes, want %d (header, bitmap, one value)", got, want)
+	}
+	if m.WireLen() >= m.V.WireSize() {
+		t.Fatalf("sparse %d bytes, fixed %d bytes — sparse should win for one live component", m.WireLen(), m.V.WireSize())
+	}
+	// A dense clock and a clock whose bitmap costs more than it saves ship
+	// fixed: the format never costs more than 2+8n.
+	if got := Dense(m.V).WireLen(); got != m.V.WireSize() {
+		t.Errorf("dense clock: %d bytes, want the fixed %d", got, m.V.WireSize())
+	}
+	small := NewMasked(1)
+	small.Tick(0)
+	if got := small.WireLen(); got != small.V.WireSize() {
+		t.Errorf("1-component clock: %d bytes, want the fixed %d", got, small.V.WireSize())
+	}
+	if got := (Masked{Covered: true}).WireLen(); got != 2 {
+		t.Errorf("covered marker: %d bytes, want 2", got)
+	}
+	if got := (Masked{}).WireLen(); got != 0 {
+		t.Errorf("no clock: %d bytes, want 0", got)
 	}
 }
 
-func TestDecodeDeltaErrors(t *testing.T) {
-	base := New(4)
-	if _, _, err := DecodeDelta(nil, base); err == nil {
-		t.Error("empty delta should fail")
+func TestDecodeWireErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"short header", []byte{0}},
+		{"truncated fixed", []byte{0, 2, 0, 0, 0, 0, 0, 0, 0, 1}},
+		{"truncated bitmap", []byte{0x80, 3, 0, 0, 0}},
+		{"bit past the clock", []byte{0x80, 3, 0, 0, 0, 0, 0, 0, 0, 8}},
+		{"truncated values", []byte{0x80, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0}},
+	} {
+		if _, _, err := DecodeWire(tc.data); err == nil {
+			t.Errorf("%s: %x decoded without error", tc.name, tc.data)
+		}
 	}
-	// Header says one change, then truncated index.
-	if _, _, err := DecodeDelta([]byte{1}, base); err == nil {
-		t.Error("truncated index should fail")
-	}
-	// Header, index 0, then truncated value.
-	if _, _, err := DecodeDelta([]byte{1, 0}, base); err == nil {
-		t.Error("truncated value should fail")
-	}
-	// Out-of-range index.
-	if _, _, err := DecodeDelta([]byte{1, 9, 1}, base); err == nil {
-		t.Error("out-of-range index should fail")
+	got, n, err := DecodeWire([]byte{0x80, 0, 0xAA})
+	if err != nil || n != 2 || !got.Covered {
+		t.Errorf("covered marker decoded as %+v, %d, %v", got, n, err)
 	}
 }
 

@@ -40,8 +40,8 @@ func multiFingerprintOf(res *Result) multiFingerprint {
 
 // multiDiffSchedules are the adversarial schedules of the multi-kernel
 // differential: every transport/detector mode whose bookkeeping the
-// partition had to reshape (sharded pools, per-shard CompressClocks decoder
-// state, write-invalidate directory fan-out, causal update fan-out with
+// partition had to reshape (sharded pools, word-granularity absorb merges
+// shipped as sparse clocks, write-invalidate directory fan-out, causal update fan-out with
 // dependency clocks, MESI exclusive grants and cross-shard recalls, the
 // literal protocol's five-hop chains, deferred-jitter replay), over workloads whose traffic
 // crosses shards (migratory: one global lock ring), stays mostly local
@@ -62,8 +62,9 @@ var multiDiffSchedules = []struct {
 	{name: "migratory/jitter", mk: func() workload.Workload { return workload.Migratory(24, 4, 8) }, jit: 0.3},
 	{name: "migratory/literal", mk: func() workload.Workload { return workload.Migratory(16, 3, 4) },
 		mut: func(c *rdma.Config) { c.Protocol = rdma.ProtocolLiteral }},
+	// Sparse (compressed) clocks merged across a word fan-out.
 	{name: "migratory/compress", mk: func() workload.Workload { return workload.Migratory(24, 4, 8) },
-		mut: func(c *rdma.Config) { c.CompressClocks = true }},
+		mut: func(c *rdma.Config) { c.Granularity = rdma.GranularityWord }},
 	{name: "migratory/no-absorb", mk: func() workload.Workload { return workload.Migratory(24, 4, 8) },
 		mut: func(c *rdma.Config) { c.AbsorbOnGetReply = false; c.AbsorbOnPutAck = false }},
 	{name: "groups/wu", mk: func() workload.Workload { return workload.MigratoryGroups(24, 4, 4, 8) }},
