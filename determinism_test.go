@@ -24,6 +24,10 @@ import (
 // durations and (on racy rows) which accesses race. Message and event
 // counts did not move, and the literal rows are unchanged.
 //
+// The "off" rows were re-pinned once more when an uninstrumented run stopped
+// carrying clocks: its lock grants, unlocks and barrier messages became
+// header-only, so bytes and duration fell while message counts stayed put.
+//
 // The "off" hash is sha256("") — no reports.
 type goldenRun struct {
 	det, proto string
@@ -52,8 +56,8 @@ var goldenRuns = []goldenRun{
 	{"epoch", "piggyback", 7, 175, 179706, 496, 24832, "73b9ab8bd84ecfcc"},
 	{"lockset", "piggyback", 1, 6, 192138, 496, 24832, "91ac6b3100590805"},
 	{"lockset", "piggyback", 7, 6, 179706, 496, 24832, "6178a0b8cdfdb788"},
-	{"off", "piggyback", 1, 0, 184450, 496, 18272, "e3b0c44298fc1c14"},
-	{"off", "piggyback", 7, 0, 178306, 496, 18272, "e3b0c44298fc1c14"},
+	{"off", "piggyback", 1, 0, 184330, 496, 17792, "e3b0c44298fc1c14"},
+	{"off", "piggyback", 7, 0, 178186, 496, 17792, "e3b0c44298fc1c14"},
 }
 
 func reportHash(res *Result) string {

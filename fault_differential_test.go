@@ -247,8 +247,9 @@ func TestFaultCrashRehoming(t *testing.T) {
 
 // TestFaultCrashDeliveryDropEveryPartition crashes a home while requests
 // and invalidations to it are in flight, at instants spread across several
-// round trips, with detection off — no clock rides any message, so the
-// outcome cannot depend on the clock wire format. A message the crashed
+// round trips, with detection off — an uninstrumented run, so no clock rides
+// any message (TestClocklessRunShipsNoClock) and the outcome cannot depend
+// on the clock wire format. A message the crashed
 // destination drops at delivery must bounce (a NACK for a request, a
 // vacuous ack for an invalidation) whether or not its sender shares the
 // destination's kernel shard: one kernel, two shards (sender and home

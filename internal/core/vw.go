@@ -28,14 +28,16 @@ func maskedClock(acc Access) vclock.Masked {
 // component of the area clock, modelling the reception as an event of the
 // home node exactly as the figures do (Fig. 5: P1 moving to 110 after m1).
 //
-// The tick makes the detector *conservative*: the home component of an area
-// clock shares its index with the home process's own event counter, so a
-// process whose clock dominates every prior access clock may still miss
-// tick counts it never gossiped — a flagged access with no concurrent
-// conflicting partner. Soundness is unaffected (every true race is still
-// flagged; see TestPaperModeIsSoundButConservative). Disabling the tick
-// gives the exact detector, whose verdicts coincide with pairwise ground
-// truth — the E-T10 ablation quantifies the difference.
+// The tick costs recall. Scored against verify.GroundTruth on the golden
+// random workload (4 procs, 6 areas, 60 ops per proc, seeds 1–20), this
+// detector's precision is 1.000 but its recall is 0.88–0.93: it misses
+// races, so it is not sound. The suspected cause is that the home component
+// of an area clock shares its index with the home process's own event
+// counter, so a tick the home process never observes can be reused by its
+// own next event. ROADMAP.md's item "Is the paper's detector complete?"
+// carries the counterexample and the open question.
+// Disabling the tick gives the exact detector, whose verdicts coincide with
+// pairwise ground truth — the E-T10 ablation quantifies the difference.
 type VWDetector struct {
 	// TickHomeOnWrite: see above. The paper's figures require true.
 	TickHomeOnWrite bool

@@ -364,8 +364,11 @@ func (c *Cluster) RunEach(programs []Program) (*Result, error) {
 		p := &Proc{
 			id:      i,
 			c:       c,
-			clock:   vclock.NewMasked(c.cfg.Procs),
+			clocks:  c.sys.ClocksOn(),
 			literal: rcfg.Protocol == rdma.ProtocolLiteral,
+		}
+		if p.clocks {
+			p.clock = vclock.NewMasked(c.cfg.Procs)
 		}
 		c.procs = append(c.procs, p)
 		c.byID[i] = p
@@ -435,10 +438,10 @@ func (c *Cluster) RunEach(programs []Program) (*Result, error) {
 func (c *Cluster) userHandler(m *network.Message) {
 	switch pl := m.Payload.(type) {
 	case *rdma.BarrierMsg:
-		if pl.Merged == nil {
-			c.bar.arrive(pl)
-		} else {
+		if pl.Release {
 			c.procByID(pl.Proc).barrierRelease(pl)
+		} else {
+			c.bar.arrive(pl)
 		}
 	default:
 		panic(fmt.Sprintf("dsm: unexpected user payload %T", m.Payload))
@@ -455,13 +458,15 @@ func (c *Cluster) nodeCrashed(node int) {
 
 // nodeRestarted brings the process back: the crash flag clears, the restart
 // generation ticks (waking AwaitRestart), and the process rejoins with a
-// fresh masked clock column — its pre-crash clock died with its volatile
-// state, exactly like a real rejoining rank.
+// fresh masked clock column (when clocks are on) — its pre-crash clock died
+// with its volatile state, exactly like a real rejoining rank.
 func (c *Cluster) nodeRestarted(node int) {
 	if p := c.byID[node]; p != nil {
 		p.crashed = false
 		p.restarted = true
-		p.clock = vclock.NewMasked(c.cfg.Procs)
+		if p.clocks {
+			p.clock = vclock.NewMasked(c.cfg.Procs)
+		}
 	}
 }
 

@@ -16,27 +16,34 @@ import (
 // carry the merge, so the barrier is a full happens-before exchange (which
 // is what makes barrier-phased programs race-free under the detector). Both
 // directions ride in pooled rdma.BarrierMsg records, and every release of an
-// epoch shares the one merged clock the coordinator built for it. ----
+// epoch shares the one merged clock the coordinator built for it. An
+// uninstrumented run (rdma.System.ClocksOn false) builds no merged clock:
+// arrivals and releases are header-only. ----
 
 // barrierCoord collects the arrivals of the one open epoch: a process cannot
 // enter the next epoch before this one has released it.
 type barrierCoord struct {
 	c      *Cluster
 	epoch  int
-	procs  []int              // participants so far, in arrival order
-	merged *rdma.BarrierClock // their clocks, merged; nil while no epoch is open
+	procs  []int              // participants so far, in arrival order; empty while no epoch is open
+	merged *rdma.BarrierClock // their clocks, merged; nil while no epoch is open or clocks are off
 	obs    vclock.VC          // their causal observation clocks, merged (nil unless causal)
 }
 
 func (b *barrierCoord) arrive(a *rdma.BarrierMsg) {
 	nic := b.c.sys.NIC(0)
-	if b.merged == nil {
-		b.epoch, b.merged = a.Epoch, nic.GrabBarrierClock(len(b.c.procs))
+	if len(b.procs) == 0 {
+		b.epoch = a.Epoch
+		if b.c.sys.ClocksOn() {
+			b.merged = nic.GrabBarrierClock(len(b.c.procs))
+		}
 	} else if a.Epoch != b.epoch {
 		panic(fmt.Sprintf("dsm: P%d arrived at barrier %d while barrier %d is open", a.Proc, a.Epoch, b.epoch))
 	}
 	b.procs = append(b.procs, a.Proc)
-	b.merged.C.Merge(a.Clock)
+	if b.merged != nil {
+		b.merged.C.Merge(a.Clock)
+	}
 	if a.Obs != nil {
 		if b.obs == nil {
 			b.obs = a.Obs // fresh copy shipped in the arrival; adopt it
@@ -49,6 +56,10 @@ func (b *barrierCoord) arrive(a *rdma.BarrierMsg) {
 		return
 	}
 	now := b.c.kernelFor(0).Now()
+	size := network.HeaderBytes + b.c.sys.ClockBytes(vclock.Dense(b.obs))
+	if b.merged != nil {
+		size += b.c.sys.ClockBytes(b.merged.C)
+	}
 	for _, proc := range b.procs {
 		// Record the barrier at the merge instant so the verifier sees all
 		// participants' barrier events before any post-barrier access.
@@ -56,11 +67,10 @@ func (b *barrierCoord) arrive(a *rdma.BarrierMsg) {
 			b.c.rec.Append(trace.Event{Kind: trace.EvBarrier, Proc: proc, Epoch: b.epoch, Time: now})
 		}
 		r := nic.GrabBarrierMsg()
-		r.Proc, r.Merged = proc, b.merged
+		r.Proc, r.Release, r.Merged = proc, true, b.merged
 		if b.obs != nil {
 			r.Obs = b.obs.Copy()
 		}
-		size := network.HeaderBytes + b.c.sys.ClockBytes(b.merged.C) + b.c.sys.ClockBytes(vclock.Dense(r.Obs))
 		nic.SendUser(network.NodeID(proc), network.KindBarrier, size, r)
 	}
 	b.procs, b.merged, b.obs = b.procs[:0], nil, nil
@@ -70,7 +80,9 @@ func (b *barrierCoord) arrive(a *rdma.BarrierMsg) {
 // epoch, then resumes all of them with merged clocks.
 func (p *Proc) Barrier() {
 	p.epoch++
-	p.clock.Tick(p.id)
+	if p.clocks {
+		p.clock.Tick(p.id)
+	}
 	p.barrierDone = false
 	nic := p.c.sys.NIC(p.id)
 	a := nic.GrabBarrierMsg()
@@ -91,7 +103,9 @@ func (p *Proc) barrierRelease(r *rdma.BarrierMsg) {
 	nic.CausalMergeObs(r.Obs)
 	// The merged clock's mask is the union of every arrival's, so the
 	// process clock's mask stays exact.
-	p.clock.Merge(r.Merged.C)
+	if r.Merged != nil {
+		p.clock.Merge(r.Merged.C)
+	}
 	nic.ReleaseBarrierMsg(r)
 	p.barrierDone = true
 	p.sp.Ready()

@@ -15,12 +15,16 @@ import (
 // clock (ticked before every operation, update_local_clock), and the
 // blocking operation API backed by its NIC.
 type Proc struct {
-	id    int
-	c     *Cluster
-	sp    *sim.Proc
-	clock vclock.Masked
-	seq   uint64
-	held  []int // sorted area ids of held user locks
+	id int
+	c  *Cluster
+	sp *sim.Proc
+	// clocks records that some consumer reads clocks (rdma.System.ClocksOn).
+	// Without one the run is uninstrumented: clock stays nil and nothing
+	// ticks, merges or ships it.
+	clocks bool
+	clock  vclock.Masked
+	seq    uint64
+	held   []int // sorted area ids of held user locks
 	// lastName/lastArea memoise the most recent name resolution.
 	lastName string
 	lastArea memory.Area
@@ -62,7 +66,8 @@ func (p *Proc) Sleep(d sim.Time) { p.sp.Sleep(d) }
 // Yield lets other ready processes run at the current instant.
 func (p *Proc) Yield() { p.sp.Yield() }
 
-// Clock returns a copy of the process's current vector clock.
+// Clock returns a copy of the process's current vector clock — empty on an
+// uninstrumented run (no detector, no tracing), which keeps none.
 func (p *Proc) Clock() vclock.VC { return p.clock.V.Copy() }
 
 // Seq returns the per-process operation sequence number of the most recent
@@ -87,6 +92,10 @@ func (p *Proc) Area(name string) (memory.Area, error) {
 // newAccess ticks the local clock and stamps a new access descriptor.
 func (p *Proc) newAccess(kind core.AccessKind) core.Access {
 	p.seq++
+	if !p.clocks {
+		// Uninstrumented: nothing reads an access's clock or lock set.
+		return core.Access{Proc: p.id, Seq: p.seq, Kind: kind}
+	}
 	p.clock.Tick(p.id)
 	// Under the piggyback protocol the access aliases the process's clock and
 	// held-lock list; the literal protocol's one-way messages outlive the
@@ -197,7 +206,9 @@ func (p *Proc) Lock(name string) error {
 	if err != nil {
 		return err
 	}
-	p.clock.Tick(p.id)
+	if p.clocks {
+		p.clock.Tick(p.id)
+	}
 	rel, err := p.c.sys.NIC(p.id).LockArea(p.sp, a, p.id)
 	if err != nil {
 		return err
@@ -223,13 +234,19 @@ func (p *Proc) Unlock(name string) error {
 		return fmt.Errorf("dsm: P%d unlocking %q which it does not hold", p.id, name)
 	}
 	p.held = append(p.held[:idx], p.held[idx+1:]...)
-	p.clock.Tick(p.id)
+	nic := p.c.sys.NIC(p.id)
 	// The release clock rides to the home in a pooled buffer; the home's
 	// unlock handler adopts that buffer as the lock's release-clock slot
 	// (recycling the previous slot buffer) and the next user-level grant
 	// hands it onward — it re-enters the pool only after the acquirer
-	// absorbs it.
-	p.c.sys.NIC(p.id).UnlockArea(a, p.id, p.clock.CopyInto(p.c.sys.NIC(p.id).GrabClock()))
+	// absorbs it. An uninstrumented run ships none, so the slot stays empty
+	// and every grant is header-only.
+	var rel vclock.Masked
+	if p.clocks {
+		p.clock.Tick(p.id)
+		rel = p.clock.CopyInto(nic.GrabClock())
+	}
+	nic.UnlockArea(a, p.id, rel)
 	return nil
 }
 

@@ -3,11 +3,13 @@ package rdma
 import "dsmrace/internal/vclock"
 
 // BarrierMsg is the pooled payload of a KindBarrier message: a participant's
-// arrival at the coordinator (Clock set) or the coordinator's release of a
-// participant (Merged set). The runtime above fills it in place, the
-// receiving handler releases it, the drop hook reclaims one lost in transit.
+// arrival at the coordinator or the coordinator's release of a participant
+// (Release set). The runtime above fills it in place, the receiving handler
+// releases it, the drop hook reclaims one lost in transit. On a run whose
+// clocks are off (System.ClocksOn) neither direction carries a clock.
 type BarrierMsg struct {
 	Proc, Epoch int
+	Release     bool
 	Clock       vclock.Masked // arrival: aliases the parked process's live clock
 	Merged      *BarrierClock // release: one reference to the epoch's merged clock
 	Obs         vclock.VC     // causal observation clock (a fresh copy; nil unless causal)
@@ -62,6 +64,7 @@ func (ps *shardPools) releaseBarrierMsg(m *BarrierMsg) {
 func (n *NIC) GrabBarrierClock(refs int) *BarrierClock {
 	ps := n.ps
 	ps.balance.BarrierClocks++
+	ps.bclockGrabs++
 	var c *BarrierClock
 	if k := len(ps.bclockPool); k > 0 {
 		c, ps.bclockPool = ps.bclockPool[k-1], ps.bclockPool[:k-1]

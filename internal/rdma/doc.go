@@ -22,7 +22,10 @@
 // the same state, under the same lock); they differ only in message count
 // and bytes, which is what experiment E-T2 measures. The literal protocol
 // ships every clock in the paper's fixed 2+8n format; the piggyback
-// protocol ships vclock's sparse wire format (System.ClockBytes).
+// protocol ships vclock's sparse wire format (System.ClockBytes). A run
+// with no clock consumer — no detector and no observer (System.ClocksOn) —
+// is uninstrumented: the runtime above keeps no process clock, so unlocks
+// carry none and lock grants and barrier messages are header-only.
 //
 // Both sides of every operation are event-driven. The home side serves
 // requests as pooled homeOp continuations inside message-delivery events

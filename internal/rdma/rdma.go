@@ -76,7 +76,8 @@ type Config struct {
 	// Granularity selects per-area or per-node detection state.
 	Granularity Granularity
 	// Detector is the race detector; nil disables detection entirely
-	// (no clock bytes on the wire, no checks).
+	// (no checks, and with no Observer either no clock bytes on the wire:
+	// System.ClocksOn).
 	Detector core.Detector
 	// Collector receives race reports; required when Detector is set.
 	Collector *core.Collector
@@ -277,6 +278,9 @@ type shardPools struct {
 	// batched counts data operations served through multi-op home slot
 	// batches (Config.HomeSlotBatch).
 	batched uint64
+	// bclockGrabs counts merged barrier clocks handed out, one per epoch of
+	// a run whose clocks are on (System.ClocksOn).
+	bclockGrabs uint64
 }
 
 // retBin buffers pooled structs owed to one owner shard.
@@ -341,6 +345,16 @@ func (s *System) BatchedOps() uint64 {
 	var total uint64
 	for _, ps := range s.pools {
 		total += ps.batched
+	}
+	return total
+}
+
+// BarrierClocksGrabbed returns the number of merged barrier clocks handed
+// out so far: one per barrier epoch when clocks are on, none otherwise.
+func (s *System) BarrierClocksGrabbed() uint64 {
+	var total uint64
+	for _, ps := range s.pools {
+		total += ps.bclockGrabs
 	}
 	return total
 }
@@ -711,6 +725,15 @@ func (s *System) Collector() *core.Collector { return s.cfg.Collector }
 
 // DetectionOn reports whether a detector is configured.
 func (s *System) DetectionOn() bool { return s.cfg.Detector != nil }
+
+// ClocksOn reports whether anything reads vector clocks: a detector (every
+// detector keeps clocks, lockset and epoch included, for report context)
+// or an observer (tracing records each access's clock). When it is false
+// the run is uninstrumented: the runtime above allocates, ticks, merges and
+// ships no process clock, so every lock grant, unlock and barrier message
+// is header-only. Causal coherence's observation and dependency clocks are
+// protocol state and ride either way.
+func (s *System) ClocksOn() bool { return s.cfg.Detector != nil || s.cfg.Observer != nil }
 
 // stateKey maps an area (and, at word granularity, a word) to its
 // detection-state key under the configured granularity.

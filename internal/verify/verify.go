@@ -14,8 +14,9 @@ import (
 // replay deliberately has no home-tick option: the home tick conflates a
 // per-area write counter with the home process's event counter, which makes
 // *pairwise* comparisons unreliable; exact ground truth therefore always
-// compares pure access clocks. (The paper-mode detector that does tick is
-// sound but conservative relative to this truth — quantified in E-T10.)
+// compares pure access clocks. (The paper-mode detector that does tick
+// misses races against this truth — see core.VWDetector; E-T10 quantifies
+// the difference.)
 type Options struct {
 	AbsorbOnGetReply bool
 	AbsorbOnPutAck   bool

@@ -43,7 +43,9 @@ func multiFingerprintOf(res *Result) multiFingerprint {
 // partition had to reshape (sharded pools, word-granularity absorb merges
 // shipped as sparse clocks, write-invalidate directory fan-out, causal update fan-out with
 // dependency clocks, MESI exclusive grants and cross-shard recalls, the
-// literal protocol's five-hop chains, deferred-jitter replay), over workloads whose traffic
+// literal protocol's five-hop chains, deferred-jitter replay, the
+// uninstrumented path whose grants and barrier releases cross shards with
+// no clock), over workloads whose traffic
 // crosses shards (migratory: one global lock ring), stays mostly local
 // (groups), and mixes barriers with caching (prodchain).
 var multiDiffSchedules = []struct {
@@ -67,6 +69,7 @@ var multiDiffSchedules = []struct {
 		mut: func(c *rdma.Config) { c.Granularity = rdma.GranularityWord }},
 	{name: "migratory/no-absorb", mk: func() workload.Workload { return workload.Migratory(24, 4, 8) },
 		mut: func(c *rdma.Config) { c.AbsorbOnGetReply = false; c.AbsorbOnPutAck = false }},
+	{name: "migratory/off", mk: func() workload.Workload { return workload.Migratory(24, 4, 8) }, mut: detectionOff},
 	{name: "groups/wu", mk: func() workload.Workload { return workload.MigratoryGroups(24, 4, 4, 8) }},
 	{name: "groups/jitter", mk: func() workload.Workload { return workload.MigratoryGroups(24, 4, 4, 8) }, jit: 0.25},
 	{name: "prodchain/wu", mk: func() workload.Workload { return workload.ProducerConsumerChain(12, 3, 8, 3) }},
@@ -76,12 +79,18 @@ var multiDiffSchedules = []struct {
 		mut: func(c *rdma.Config) { c.Coherence = mustCoherence("causal") }},
 	{name: "prodchain/mesi", mk: func() workload.Workload { return workload.ProducerConsumerChain(12, 3, 8, 3) },
 		mut: func(c *rdma.Config) { c.Coherence = mustCoherence("mesi") }},
+	{name: "prodchain/off", mk: func() workload.Workload { return workload.ProducerConsumerChain(12, 3, 8, 3) },
+		mut: func(c *rdma.Config) { detectionOff(c); c.Coherence = mustCoherence("write-invalidate") }},
 	{name: "random/serial-degrade", mk: func() workload.Workload {
 		return workload.Random(workload.RandomSpec{
 			Procs: 12, Areas: 16, AreaWords: 4, OpsPerProc: 30, ReadPercent: 40, BarrierEvery: 10,
 		})
 	}},
 }
+
+// detectionOff turns a schedule into an uninstrumented run: no detector and
+// no tracing, so no clock is kept or shipped (rdma.System.ClocksOn).
+func detectionOff(c *rdma.Config) { c.Detector, c.Collector = nil, nil }
 
 func mustCoherence(name string) coherence.Protocol {
 	p, err := coherence.FromName(name)
