@@ -1,13 +1,8 @@
 package dsmrace
 
-// The benchmark bodies shared between `go test -bench` (bench_test.go
-// wrappers) and the cmd/bench harness, which runs them via
-// testing.Benchmark and writes the machine-readable perf trajectory
-// (BENCH_<pr>.json). Keeping one implementation ensures the JSON numbers
-// and the interactive bench numbers measure the same code.
+// The benchmark bodies behind bench_test.go's Benchmark* wrappers.
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -23,12 +18,6 @@ import (
 	"dsmrace/internal/vclock"
 	"dsmrace/internal/workload"
 )
-
-// BenchSpec names one benchmark runnable by the harness.
-type BenchSpec struct {
-	Name string
-	F    func(b *testing.B)
-}
 
 // benchOps runs a single-writer loop of b.N remote puts/gets under the
 // given spec knobs and reports virtual message/byte/latency metrics.
@@ -137,28 +126,6 @@ var scaleBenchWorkloads = []struct {
 	{"groups", func(n, rounds int) workload.Workload { return workload.MigratoryGroups(n, 8, rounds, 8) }},
 }
 
-// ScaleNs is the cluster-size sweep of the E_Scale family.
-var ScaleNs = []int{16, 64, 128, 256, 512}
-
-// ScaleBenchmarks returns the E_Scale family: every scale workload at every
-// swept cluster size. They are kept out of StandardBenchmarks because the
-// large-n entries are orders of magnitude more work per iteration; cmd/bench
-// runs them with their own (smaller) benchtime, and the `go test -bench`
-// wrappers only pick up the n≤64 entries.
-func ScaleBenchmarks() []BenchSpec {
-	var specs []BenchSpec
-	for _, wl := range scaleBenchWorkloads {
-		for _, n := range ScaleNs {
-			wl, n := wl, n
-			specs = append(specs, BenchSpec{
-				Name: fmt.Sprintf("E_Scale/%s/n=%d", wl.name, n),
-				F:    func(b *testing.B) { benchScale(b, n, wl.mk) },
-			})
-		}
-	}
-	return specs
-}
-
 // benchMcheck is the E_Mcheck body: one op is one complete exploration of a
 // litmus/protocol pair, full enumeration or POR. The metrics expose what the
 // reduction buys: sched/s is raw exploration throughput, runs/op the
@@ -200,41 +167,6 @@ func benchMcheck(b *testing.B, litmus, protocol string, por bool, workers int) {
 	}
 }
 
-// McheckBenchmarks returns the E_Mcheck family: model-checker exploration
-// throughput on full-vs-POR row pairs, plus the POR-only rows whose full
-// enumerations are too big to time (the two MCHECK_EXHAUSTIVE matrix rows
-// and the sb3 config full enumeration cannot finish at all). Kept out of
-// StandardBenchmarks because one iteration is a whole exploration; cmd/bench
-// runs them with their own benchtime, and the `go test -bench` wrapper picks
-// up only the sub-second rows.
-func McheckBenchmarks() []BenchSpec {
-	var specs []BenchSpec
-	for _, row := range []struct {
-		litmus, protocol string
-		full             bool // also time the full enumeration
-	}{
-		{"sb", "write-update", true},
-		{"sb", "write-invalidate", true},
-		{"iriw", "write-update", true},
-		{"recall", "write-invalidate", false},
-		{"iriw", "mesi", false},
-		{"sb3", "mesi", false},
-	} {
-		row := row
-		if row.full {
-			specs = append(specs, BenchSpec{
-				Name: fmt.Sprintf("E_Mcheck/%s/%s/full", row.litmus, row.protocol),
-				F:    func(b *testing.B) { benchMcheck(b, row.litmus, row.protocol, false, 0) },
-			})
-		}
-		specs = append(specs, BenchSpec{
-			Name: fmt.Sprintf("E_Mcheck/%s/%s/por", row.litmus, row.protocol),
-			F:    func(b *testing.B) { benchMcheck(b, row.litmus, row.protocol, true, 0) },
-		})
-	}
-	return specs
-}
-
 // benchPartition is the E_Partition body: one of the scale workloads at
 // cluster size n on kernels shards, b.N rounds per process, locality-aware
 // partitioning. Fingerprints are bit-identical across kernels (gated by the
@@ -274,107 +206,6 @@ func benchPartition(b *testing.B, n, kernels int, mkW func(n, rounds int) worklo
 	}
 }
 
-// PartitionNs and PartitionKs are the E_Partition sweep axes.
-var (
-	PartitionNs = []int{64, 256, 512}
-	PartitionKs = []int{1, 2, 4, 8}
-)
-
-// PartitionBenchmarks returns the E_Partition family: the uniform /
-// migratory / groups shapes at n ∈ {64, 256, 512} across K ∈ {1, 2, 4, 8}
-// kernel shards. K=1 rows are the baseline the speedups read against.
-func PartitionBenchmarks() []BenchSpec {
-	var specs []BenchSpec
-	for _, wl := range scaleBenchWorkloads {
-		for _, n := range PartitionNs {
-			for _, k := range PartitionKs {
-				wl, n, k := wl, n, k
-				specs = append(specs, BenchSpec{
-					Name: fmt.Sprintf("E_Partition/%s/n=%d/k=%d", wl.name, n, k),
-					F:    func(b *testing.B) { benchPartition(b, n, k, wl.mk) },
-				})
-			}
-		}
-	}
-	return specs
-}
-
-// homeBatchWorkload is the E_HomeBatch shape: barrier-phased colliding
-// adders. Every round all workers hit the same cell in one delivery slot at
-// the home and then meet at a barrier, so the round's span is bounded by
-// the *last* completion — exactly the latency the batch's single lock
-// tenure compresses (unbatched, the k-th op waits behind k-1 serialized
-// occupancy windows). Barrier-phased, so race-free after the clock
-// exchange; the two rows' verdicts and message totals are identical and
-// vns/op carries the whole delta.
-func homeBatchWorkload(procs, rounds int) workload.Workload {
-	return workload.Workload{
-		Name:    "lockstep-barrier",
-		Procs:   procs,
-		Profile: workload.RacyBenign,
-		Setup:   func(c *dsm.Cluster) error { return c.Alloc("cell", 0, 1) },
-		Programs: func() []dsm.Program {
-			ps := make([]dsm.Program, procs)
-			for i := range ps {
-				ps[i] = func(p *dsm.Proc) error {
-					for r := 0; r < rounds; r++ {
-						if p.ID() != 0 {
-							if _, err := p.FetchAdd("cell", 0, 1); err != nil {
-								return err
-							}
-						}
-						p.Barrier()
-					}
-					return nil
-				}
-			}
-			return ps
-		},
-	}
-}
-
-// benchHomeBatch is the E_HomeBatch body: the colliding barrier-phased
-// shape with home slot batching off or on; the msgs/op (must not move) and
-// vns/op (drops by the coalesced lock tenures) deltas between the two rows
-// are the ablation's record.
-func benchHomeBatch(b *testing.B, n int, batch bool) {
-	b.Helper()
-	d, err := NewDetector("vw-exact")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := rdma.DefaultConfig(d, nil)
-	cfg.HomeSlotBatch = batch
-	w := homeBatchWorkload(n, b.N)
-	b.ResetTimer()
-	res, err := w.Run(dsm.Config{Seed: 1, RDMA: cfg})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	totalOps := float64((w.Procs - 1) * b.N)
-	b.ReportMetric(float64(res.NetStats.TotalMsgs)/totalOps, "msgs/op")
-	b.ReportMetric(float64(res.NetStats.TotalBytes)/totalOps, "wireB/op")
-	b.ReportMetric(float64(res.Duration)/totalOps, "vns/op")
-}
-
-// HomeBatchBenchmarks returns the E_HomeBatch ablation pair.
-func HomeBatchBenchmarks() []BenchSpec {
-	var specs []BenchSpec
-	for _, batch := range []bool{false, true} {
-		batch := batch
-		name := "off"
-		if batch {
-			name = "on"
-		}
-		specs = append(specs, BenchSpec{
-			Name: fmt.Sprintf("E_HomeBatch/lockstep-barrier/n=64/batch=%s", name),
-			F:    func(b *testing.B) { benchHomeBatch(b, 64, batch) },
-		})
-	}
-	return specs
-}
-
 // benchFault is the E_Fault body: a workload with b.N ops (or rounds) per
 // process under an optional fault schedule. The faults=off and faults=armed
 // rows share a workload, so their host ns/op delta is the zero-fault tax of
@@ -403,11 +234,18 @@ func benchFault(b *testing.B, mkW func(rounds int) workload.Workload, sched *fau
 	b.ReportMetric(float64(res.Duration)/totalOps, "vns/op")
 }
 
-// FaultBenchmarks returns the E_Fault family: the armed-idle overhead pair
-// on the uniform lock-discipline shape at n=64, and hostile rows — sustained
+// faultBenchRow is one E_Fault row: a workload and its fault schedule.
+type faultBenchRow struct {
+	name  string
+	mk    func(rounds int) workload.Workload
+	sched *fault.Schedule
+}
+
+// faultBenchRows are the E_Fault family: the armed-idle overhead pair on
+// the uniform lock-discipline shape at n=64, and hostile rows — sustained
 // loss, and loss plus a crash/restart — on the unreachable-tolerant uniform
 // shape.
-func FaultBenchmarks() []BenchSpec {
+func faultBenchRows() []faultBenchRow {
 	uniform := func(rounds int) workload.Workload {
 		return workload.Random(workload.RandomSpec{
 			Procs: 64, Areas: 128, AreaWords: 4,
@@ -433,18 +271,17 @@ func FaultBenchmarks() []BenchSpec {
 		},
 		Drop: []fault.DropRule{{Kind: fault.AnyKind, Src: fault.AnyNode, Dst: fault.AnyNode, P: 0.02}},
 	}
-	return []BenchSpec{
-		{Name: "E_Fault/uniform/n=64/faults=off", F: func(b *testing.B) { benchFault(b, uniform, nil) }},
-		{Name: "E_Fault/uniform/n=64/faults=armed", F: func(b *testing.B) { benchFault(b, uniform, armed) }},
-		{Name: "E_Fault/hostile-uniform/n=64/drop=0.02", F: func(b *testing.B) { benchFault(b, hostile, lossy) }},
-		{Name: "E_Fault/hostile-uniform/n=64/crash+drop", F: func(b *testing.B) { benchFault(b, hostile, crash) }},
+	return []faultBenchRow{
+		{"uniform/n=64/faults=off", uniform, nil},
+		{"uniform/n=64/faults=armed", uniform, armed},
+		{"hostile-uniform/n=64/drop=0.02", hostile, lossy},
+		{"hostile-uniform/n=64/crash+drop", hostile, crash},
 	}
 }
 
 // benchCoherence is the E-T12 body: a coherence-sensitive workload with
 // b.N rounds under the named protocol; one op is one critical section /
-// stage-round, so msgs/op exposes the per-protocol wire cost the
-// BENCH_*.json trajectory tracks.
+// stage-round, so msgs/op exposes the per-protocol wire cost.
 func benchCoherence(b *testing.B, coh string, mkW func(rounds int) workload.Workload) {
 	b.Helper()
 	cp, err := coherence.FromName(coh)
@@ -473,7 +310,7 @@ func benchCoherence(b *testing.B, coh string, mkW func(rounds int) workload.Work
 }
 
 // coherenceBenchWorkloads are the protocol-divergent workloads measured
-// per-protocol in the perf trajectory.
+// per protocol.
 var coherenceBenchWorkloads = []struct {
 	name string
 	mk   func(rounds int) workload.Workload
@@ -658,78 +495,4 @@ func benchCollectorSignal(b *testing.B, n int, unique bool) {
 	if col.Total() != b.N || len(col.Reports()) != b.N {
 		b.Fatalf("collector holds %d of %d reports", len(col.Reports()), b.N)
 	}
-}
-
-// StandardBenchmarks returns the canonical benchmark set the cmd/bench
-// harness records in the perf trajectory: the raw put/get primitives, the
-// wire-protocol ablation, the E-T4 throughput grid, the per-coherence
-// workload comparison, the clock compare/merge micro rows and the
-// per-detector OnAccess microbenchmark — those two as a fixed-pair row and a
-// /mixed row each — and the collector's report-retention rows.
-func StandardBenchmarks() []BenchSpec {
-	specs := []BenchSpec{
-		{Name: "E_F2_Put", F: func(b *testing.B) { benchOps(b, "off", "", 1, false) }},
-		{Name: "E_F2_Get", F: func(b *testing.B) { benchOps(b, "off", "", 1, true) }},
-		{Name: "E_T2_Protocols/piggyback", F: func(b *testing.B) { benchOps(b, "vw", "piggyback", 1, false) }},
-		{Name: "E_T2_Protocols/literal", F: func(b *testing.B) { benchOps(b, "vw", "literal", 1, false) }},
-	}
-	for _, n := range []int{2, 4, 8, 16} {
-		for _, det := range []string{"off", "vw-exact"} {
-			n, det := n, det
-			specs = append(specs, BenchSpec{
-				Name: fmt.Sprintf("E_T4_Throughput/n=%d/det=%s", n, det),
-				F:    func(b *testing.B) { benchThroughput(b, n, det) },
-			})
-		}
-	}
-	for _, wl := range coherenceBenchWorkloads {
-		for _, coh := range CoherenceNames() {
-			wl, coh := wl, coh
-			specs = append(specs, BenchSpec{
-				Name: fmt.Sprintf("E_Coherence/%s/%s", wl.name, coh),
-				F:    func(b *testing.B) { benchCoherence(b, coh, wl.mk) },
-			})
-		}
-	}
-	for _, n := range []int{16, 256} {
-		for _, mixed := range []bool{false, true} {
-			suffix := fmt.Sprintf("/n=%d", n)
-			if mixed {
-				suffix += "/mixed"
-			}
-			specs = append(specs,
-				BenchSpec{Name: "CompareClocks" + suffix, F: func(b *testing.B) { benchCompareClocks(b, n, mixed) }},
-				BenchSpec{Name: "MergeClocks" + suffix, F: func(b *testing.B) { benchMergeClocks(b, n, mixed) }})
-		}
-	}
-	for _, d := range benchDetectors() {
-		for _, n := range []int{16, 256} {
-			for _, mixed := range []bool{false, true} {
-				name := "DetectorOnAccess/" + d.Name()
-				if n != 16 {
-					name = fmt.Sprintf("DetectorOnAccess%d/%s", n, d.Name())
-				}
-				if mixed {
-					name += "/mixed"
-				}
-				specs = append(specs, BenchSpec{
-					Name: name,
-					F:    func(b *testing.B) { benchDetectorOnAccess(b, d, n, mixed) },
-				})
-			}
-		}
-	}
-	for _, n := range []int{16, 256} {
-		for _, unique := range []bool{true, false} {
-			variant := "repeating"
-			if unique {
-				variant = "unique"
-			}
-			specs = append(specs, BenchSpec{
-				Name: fmt.Sprintf("CollectorSignal/n=%d/%s", n, variant),
-				F:    func(b *testing.B) { benchCollectorSignal(b, n, unique) },
-			})
-		}
-	}
-	return specs
 }

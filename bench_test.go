@@ -6,7 +6,6 @@ package dsmrace
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"dsmrace/internal/core"
@@ -102,10 +101,8 @@ func BenchmarkE_T4_Throughput(b *testing.B) {
 	}
 }
 
-// BenchmarkE_Scale runs the small end of the E_Scale cluster-size sweep
-// (the full n≤512 sweep lives in cmd/bench, which gives the family its own
-// benchtime — the large-n entries are orders of magnitude more work per
-// iteration than any other family).
+// BenchmarkE_Scale runs the E_Scale workloads at n ∈ {16, 64}; the n=256
+// shapes are the repository benchmark's (benchmark/).
 func BenchmarkE_Scale(b *testing.B) {
 	for _, wl := range scaleBenchWorkloads {
 		for _, n := range []int{16, 64} {
@@ -117,9 +114,8 @@ func BenchmarkE_Scale(b *testing.B) {
 	}
 }
 
-// BenchmarkE_Partition runs the small end of the E_Partition multi-kernel
-// sweep (the full n≤512 × K≤8 grid lives in cmd/bench with its own
-// benchtime): the communication-local shapes at n=64 across shard counts.
+// BenchmarkE_Partition runs the E_Partition multi-kernel shapes at n=64
+// across shard counts.
 // The runs are bit-identical across K (gated by the multi-kernel
 // differential); ns/op is the only axis that moves.
 func BenchmarkE_Partition(b *testing.B) {
@@ -133,48 +129,40 @@ func BenchmarkE_Partition(b *testing.B) {
 	}
 }
 
-// BenchmarkE_HomeBatch is the home slot-batching ablation pair on the
-// colliding lockstep shape; msgs/op must not move between the rows, vns/op
-// records the coalesced NICDelays.
-func BenchmarkE_HomeBatch(b *testing.B) {
-	for _, batch := range []bool{false, true} {
-		batch := batch
-		name := "off"
-		if batch {
-			name = "on"
-		}
-		b.Run("lockstep-barrier/n=64/batch="+name, func(b *testing.B) {
-			benchHomeBatch(b, 64, batch)
-		})
-	}
-}
-
 // BenchmarkE_Fault runs the fault-layer family: the armed-idle pair whose
 // faults=off vs faults=armed ns/op delta is the zero-fault tax (a few
 // percent on uniform/n=64, within host noise), and the hostile rows metering
-// sustained loss and a
-// crash/restart mid-run.
+// sustained loss and a crash/restart mid-run.
 func BenchmarkE_Fault(b *testing.B) {
-	for _, spec := range FaultBenchmarks() {
-		spec := spec
-		b.Run(strings.TrimPrefix(spec.Name, "E_Fault/"), spec.F)
+	for _, row := range faultBenchRows() {
+		row := row
+		b.Run(row.name, func(b *testing.B) { benchFault(b, row.mk, row.sched) })
 	}
 }
 
 // BenchmarkE_Mcheck runs the sub-second model-checker exploration rows: one
 // iteration is one whole exploration, and the metrics read as throughput
-// (sched/s) and reduction (runs/op, pruned/op, dedup%). The rows whose full
-// or reduced enumerations take seconds stay in cmd/bench's -mcheck-benchtime
-// family, like the large E_Scale entries.
+// (sched/s) and reduction (runs/op, pruned/op, dedup%). Rows whose full or
+// reduced enumerations take seconds per iteration are left out.
 func BenchmarkE_Mcheck(b *testing.B) {
-	for _, spec := range McheckBenchmarks() {
-		spec := spec
-		switch spec.Name {
-		case "E_Mcheck/iriw/mesi/por", "E_Mcheck/sb3/mesi/por",
-			"E_Mcheck/sb/write-invalidate/full", "E_Mcheck/iriw/write-update/full":
-			continue // whole-second iterations; cmd/bench times these
+	for _, row := range []struct {
+		litmus, protocol string
+		por              bool
+	}{
+		{"sb", "write-update", false},
+		{"sb", "write-update", true},
+		{"sb", "write-invalidate", true},
+		{"iriw", "write-update", true},
+		{"recall", "write-invalidate", true},
+	} {
+		row := row
+		mode := "full"
+		if row.por {
+			mode = "por"
 		}
-		b.Run(strings.TrimPrefix(spec.Name, "E_Mcheck/"), spec.F)
+		b.Run(fmt.Sprintf("%s/%s/%s", row.litmus, row.protocol, mode), func(b *testing.B) {
+			benchMcheck(b, row.litmus, row.protocol, row.por, 0)
+		})
 	}
 }
 
@@ -346,7 +334,7 @@ func detectorBench(b *testing.B, n int) {
 func BenchmarkDetectorOnAccess(b *testing.B) { detectorBench(b, 16) }
 
 // BenchmarkDetectorOnAccess256 is the same step at cluster size 256 — the
-// clock sizes the E_Scale family runs at.
+// clock size of the benchmark's n=256 workloads.
 func BenchmarkDetectorOnAccess256(b *testing.B) { detectorBench(b, 256) }
 
 // BenchmarkCollectorSignal measures retaining one race report, with the

@@ -67,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 	rcfg.Coherence = coh
-	if err := rcfg.Validate(w.Procs, false); err != nil {
+	if err := rcfg.Validate(w.Procs); err != nil {
 		fmt.Fprintln(os.Stderr, "dsmrace:", err)
 		os.Exit(2)
 	}

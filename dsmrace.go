@@ -200,8 +200,7 @@ type RunSpec struct {
 	// probabilities, replayed bit-identically for a given Seed at any
 	// kernel count. Operations against unreachable peers retry with
 	// exponential backoff and ultimately fail with ErrUnreachable. Nil runs
-	// fault-free; incompatible with the legacy initiator and home slot
-	// batching (see internal/fault's package docs for the full model).
+	// fault-free (see internal/fault's package docs for the full model).
 	Faults *FaultSchedule
 	// Trace enables execution tracing (required for GroundTruthOf).
 	Trace bool

@@ -81,7 +81,6 @@ type Config struct {
 	// deadline/retry hardening on every initiator operation. A non-nil but
 	// empty schedule enables the layer without perturbing the run — the
 	// differential suite proves such a run bit-identical to Faults == nil.
-	// Incompatible with LegacyInitiator and HomeSlotBatch.
 	Faults *fault.Schedule
 }
 
@@ -191,8 +190,6 @@ func New(cfg Config) (*Cluster, error) {
 			kcount, note = 1, "tracing needs the single kernel's apply order"
 		case cfg.RDMA.Observer != nil:
 			kcount, note = 1, "observers need the single kernel's apply order"
-		case cfg.RDMA.LegacyInitiator:
-			kcount, note = 1, "the legacy initiator shim is single-kernel only"
 		case cfg.Chooser != nil || cfg.MetaChooser != nil:
 			kcount, note = 1, "the schedule chooser is single-kernel only"
 		default:
@@ -203,7 +200,7 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	if err := cfg.RDMA.Validate(cfg.Procs, cfg.Faults != nil); err != nil {
+	if err := cfg.RDMA.Validate(cfg.Procs); err != nil {
 		return nil, fmt.Errorf("dsm: %w", err)
 	}
 	if cfg.Faults != nil {

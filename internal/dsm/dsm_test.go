@@ -9,10 +9,10 @@ import (
 	"dsmrace/internal/baseline"
 	"dsmrace/internal/coherence"
 	"dsmrace/internal/core"
-	"dsmrace/internal/fault"
 	"dsmrace/internal/memory"
 	"dsmrace/internal/rdma"
 	"dsmrace/internal/sim"
+	"dsmrace/internal/vclock"
 )
 
 func newCluster(t *testing.T, procs int, det core.Detector, mutate func(*Config)) *Cluster {
@@ -590,27 +590,7 @@ func TestIncompatibleOptionsAreErrors(t *testing.T) {
 		}},
 		{"literal+lockset", baseline.NewLockset(), func(c *Config) { c.RDMA.Protocol = rdma.ProtocolLiteral }},
 		{"literal+epoch", baseline.NewEpoch(), func(c *Config) { c.RDMA.Protocol = rdma.ProtocolLiteral }},
-		{"legacy+causal", core.NewVWDetector(), func(c *Config) {
-			c.RDMA.LegacyInitiator, c.RDMA.Coherence = true, coh("causal")
-		}},
-		{"legacy+mesi", core.NewVWDetector(), func(c *Config) {
-			c.RDMA.LegacyInitiator, c.RDMA.Coherence = true, coh("mesi")
-		}},
-		{"batch+literal", core.NewVWDetector(), func(c *Config) {
-			c.RDMA.HomeSlotBatch, c.RDMA.Protocol = true, rdma.ProtocolLiteral
-		}},
-		{"batch+write-invalidate", core.NewVWDetector(), func(c *Config) {
-			c.RDMA.HomeSlotBatch, c.RDMA.Coherence = true, coh("write-invalidate")
-		}},
-		{"batch+no-locks", core.NewVWDetector(), func(c *Config) {
-			c.RDMA.HomeSlotBatch, c.RDMA.LocksEnabled = true, false
-		}},
-		{"faults+legacy", core.NewVWDetector(), func(c *Config) {
-			c.Faults, c.RDMA.LegacyInitiator = &fault.Schedule{}, true
-		}},
-		{"faults+batch", core.NewVWDetector(), func(c *Config) {
-			c.Faults, c.RDMA.HomeSlotBatch = &fault.Schedule{}, true
-		}},
+		{"too-many-nodes", core.NewVWDetector(), func(c *Config) { c.Procs = vclock.MaxWireComponents + 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

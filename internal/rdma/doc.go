@@ -39,13 +39,11 @@
 // issues the first request and parks exactly once — every intermediate hop
 // (lock grants, the literal protocol's clock fetches, data replies)
 // completes through pre-bound continuations in event context, with each
-// follow-up phase filed via sim.Kernel.Defer into the very slot the old
-// parked path's per-hop wakeup occupied. A remote operation therefore costs
-// zero goroutine scheduling beyond its single park, and that park is two
+// follow-up phase filed via sim.Kernel.Defer into the very slot a per-hop
+// process wakeup would occupy. A remote operation therefore costs zero
+// goroutine scheduling beyond its single park, and that park is two
 // coroutine switches with the kernel's driver, not a trip through the Go
-// scheduler. The pre-CPS parked path survives behind
-// Config.LegacyInitiator purely as the reference for the differential
-// determinism suite.
+// scheduler.
 //
 // Orthogonal to the wire protocol, the NICs serve accesses under a
 // pluggable coherence protocol (internal/coherence). Write-update — the
@@ -66,8 +64,5 @@
 // releases on a foreign shard ride a return bin home at the next window
 // barrier, and System.PoolBalanceShard audits each shard to zero after
 // clean runs. Race reports flush through the barrier's ordered replay so
-// the shared collector sees them in serial detection order. Opt-in home
-// slot batching (Config.HomeSlotBatch) coalesces same-slot same-area data
-// requests into one lock tenure with identical verdicts — see
-// ARCHITECTURE.md's shard/window section.
+// the shared collector sees them in serial detection order.
 package rdma

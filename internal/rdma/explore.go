@@ -46,18 +46,12 @@ func (s *System) ExploreFingerprint(h uint64) uint64 {
 		// ordered; its slice order is compaction-dependent).
 		var sum, xor uint64
 		for i := range n.pending {
-			e := &n.pending[i]
-			var m uint64
-			if e.op != nil {
-				o := e.op
-				m = uint64(o.kind)<<1 | 1
-				m = fpMix(m, uint64(o.area.ID+1))
-				m = fpMix(m, uint64(o.off)<<16|uint64(o.count))
-				if o.rr != nil {
-					m = fpMix(m, 1)
-				}
-			} else {
-				m = fpMix(2, 0)
+			o := n.pending[i].op
+			m := uint64(o.kind)<<1 | 1
+			m = fpMix(m, uint64(o.area.ID+1))
+			m = fpMix(m, uint64(o.off)<<16|uint64(o.count))
+			if o.rr != nil {
+				m = fpMix(m, 1)
 			}
 			sum += m * fpSep
 			xor ^= m * fpSep

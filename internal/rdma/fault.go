@@ -43,9 +43,6 @@ const lostErr = "\x00lost"
 // release), and the injector's recovery hooks are pointed at the crash sweep
 // and the failover tables. Call before Injector.Arm and before any traffic.
 func (s *System) EnableFaults(inj *fault.Injector) {
-	if err := s.cfg.Validate(s.space.N(), true); err != nil {
-		panic(err)
-	}
 	s.inj = inj
 	s.faultOn = true
 	s.fArm = inj.Sched.Hostile()
@@ -135,7 +132,7 @@ func (s *System) faultReqLost(ps *shardPools, atDelivery bool, src, dst network.
 	if !atDelivery {
 		ini := s.nics[src]
 		if i := ini.findPending(r.id); i >= 0 {
-			if op := ini.pending[i].op; op != nil && op.deadline != 0 {
+			if op := ini.pending[i].op; op.deadline != 0 {
 				op.dropped = true
 				op.rr = nil // reclaimed below with the message
 			}
@@ -233,7 +230,7 @@ func (n *NIC) watchdog() {
 	next := sim.Time(-1)
 	for i := 0; i < len(n.pending); i++ {
 		op := n.pending[i].op
-		if op == nil || op.deadline == 0 {
+		if op.deadline == 0 {
 			continue
 		}
 		if op.deadline > now {
@@ -312,7 +309,7 @@ func (n *NIC) failPendingAt(i int, op *initOp, why string) {
 // a full silence window.
 func (n *NIC) nackPending(rs *resp) {
 	if i := n.findPending(rs.id); i >= 0 {
-		if op := n.pending[i].op; op != nil && op.deadline != 0 {
+		if op := n.pending[i].op; op.deadline != 0 {
 			op.dropped = true
 			op.rr = nil
 			op.deadline = n.k.Now()
@@ -328,7 +325,7 @@ func (n *NIC) nackPending(rs *resp) {
 // its first application is irreversible, and a blind retry would double it.
 func (n *NIC) lostPending(rs *resp) {
 	if i := n.findPending(rs.id); i >= 0 {
-		if op := n.pending[i].op; op != nil && op.deadline != 0 {
+		if op := n.pending[i].op; op.deadline != 0 {
 			if op.kind == network.KindAtomicReq {
 				n.failPendingAt(i, op, "reply lost")
 			} else {
@@ -414,7 +411,7 @@ func (s *System) faultCrash(shard, node int, at sim.Time) {
 			fs.DropNodeCopies(node)
 		}
 		for i := len(nic.pending) - 1; i >= 0; i-- {
-			if op := nic.pending[i].op; op != nil && op.deadline != 0 {
+			if op := nic.pending[i].op; op.deadline != 0 {
 				nic.failPendingAt(i, op, "lost to local crash")
 			}
 		}

@@ -297,9 +297,9 @@ func (o *initOp) fetchCapture(rs *resp) {
 }
 
 // ---- Literal protocol continuations (Algorithms 1 and 2). Each Defer'd
-// stage occupies the event slot where the parked path resumed the process,
-// and each one-way clock message is sent from the same slot it was sent
-// from there. ----
+// stage occupies the event slot where the old parked path resumed the
+// process, and each one-way clock message is sent from the same slot it was
+// sent from there. ----
 
 // grant absorbs the internal lock grant and defers the per-op first stage.
 //

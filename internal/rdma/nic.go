@@ -43,7 +43,7 @@ type req struct {
 }
 
 // copyFrom makes rr a copy of src but for its own owner shard and bound
-// continuation (the legacy twin and the retransmission template only).
+// continuation (the retransmission template).
 func (rr *req) copyFrom(src *req) {
 	owner, grantFn := rr.owner, rr.grantFn
 	*rr = *src
@@ -83,15 +83,6 @@ func (rs *resp) payload(n int) []memory.Word {
 	return rs.data
 }
 
-// pending tracks a legacy-path initiator-side operation awaiting its
-// response (the CPS path registers the initOp itself — see pendEntry).
-type pending struct {
-	proc  *sim.Proc
-	done  bool
-	resp  *resp
-	owner int32 // pool shard that grabbed this struct
-}
-
 // NIC is one node's network interface. Remote operations addressed to this
 // node are served inside its message handler — the owning process is never
 // involved (OS bypass, §III-B).
@@ -121,10 +112,6 @@ type NIC struct {
 	// locks is the per-area lock table, indexed by AreaID (dense: the
 	// space is sealed before the run); entries materialise on first use.
 	locks []*lockState
-	// batches tracks the open home slot batches of the current instant
-	// (Config.HomeSlotBatch); batchPool recycles batch structs.
-	batches   []*slotBatch
-	batchPool []*slotBatch
 	// Coalesced fault watchdog (see fault.go): one armed deadline-scan event
 	// covers every in-flight op of this NIC. wdFn is bound once at
 	// EnableFaults so arming never allocates a closure.
@@ -136,23 +123,17 @@ type NIC struct {
 	UserHandler func(m *network.Message)
 }
 
-// pendEntry is one in-flight request in a NIC's pending table: a CPS
-// initiator operation (op) whose reply continuation runs in delivery-event
-// context, or a legacy parked-path wait state (pd).
+// pendEntry is one in-flight request in a NIC's pending table: the
+// initiator operation whose reply continuation runs in delivery-event
+// context.
 type pendEntry struct {
 	id uint64
 	op *initOp
-	pd *pending
 }
 
-// addPending registers an in-flight CPS request.
+// addPending registers an in-flight request.
 func (n *NIC) addPending(id uint64, op *initOp) {
 	n.pending = append(n.pending, pendEntry{id: id, op: op})
-}
-
-// addLegacyPending registers an in-flight legacy-path request.
-func (n *NIC) addLegacyPending(id uint64, pd *pending) {
-	n.pending = append(n.pending, pendEntry{id: id, pd: pd})
 }
 
 // findPending resolves a response id to its table index, or -1.
@@ -171,13 +152,6 @@ func (n *NIC) dropPendingAt(i int) {
 	n.pending[i] = n.pending[last]
 	n.pending[last] = pendEntry{}
 	n.pending = n.pending[:last]
-}
-
-// dropPending removes a completed request from the table.
-func (n *NIC) dropPending(id uint64) {
-	if i := n.findPending(id); i >= 0 {
-		n.dropPendingAt(i)
-	}
 }
 
 // ID returns the node this NIC belongs to.
@@ -242,18 +216,12 @@ func (n *NIC) handle(m *network.Message) {
 			}
 			panic(fmt.Sprintf("rdma: node %d: orphan response %d", n.id, r.id))
 		}
-		if op := n.pending[i].op; op != nil {
-			// CPS initiator: the reply continuation absorbs the resp right
-			// here in delivery-event context; the process is woken only by
-			// the operation's final hop.
-			n.dropPendingAt(i)
-			op.next(r)
-			return
-		}
-		pd := n.pending[i].pd
-		pd.resp = r
-		pd.done = true
-		pd.proc.Ready()
+		// The reply continuation absorbs the resp right here in
+		// delivery-event context; the process is woken only by the
+		// operation's final hop.
+		op := n.pending[i].op
+		n.dropPendingAt(i)
+		op.next(r)
 	case network.KindPutReq:
 		n.handlePut(m)
 	case network.KindGetReq:
@@ -375,8 +343,6 @@ type updateMsg struct {
 
 // startHomeOp begins serving a data request at its home: acquire the area
 // lock (if enabled), then model the memory occupancy, then run the body.
-// With HomeSlotBatch, same-slot same-area requests coalesce instead (see
-// slotBatch).
 //
 //dsmlint:eventhandler
 func (n *NIC) startHomeOp(m *network.Message, kind network.Kind) {
@@ -388,153 +354,8 @@ func (n *NIC) startHomeOp(m *network.Message, kind network.Kind) {
 		o.grant()
 		return
 	}
-	if n.sys.cfg.HomeSlotBatch && kind != network.KindFetchReq {
-		n.joinBatch(o)
-		return
-	}
 	o.l = n.lockFor(r.area.ID)
 	o.l.acquire(r.acc.Proc, o.grantFn, o)
-}
-
-// slotBatch groups the data requests for one area delivered at one virtual
-// instant (the micro-batching groundwork, Config.HomeSlotBatch): the batch
-// opens on the first such request, closes at the end of the instant (its
-// start continuation runs in a Defer slot — every same-instant delivery
-// carries a smaller sequence number, so all of them join first), then
-// serves the whole batch under one lock tenure with a single NICDelay
-// charge (per-word occupancy still accrues per member). Bodies run in
-// arrival order, so the per-area detector check/fold sequence — and with it
-// every verdict — is exactly the unbatched order; what changes is timing
-// (later members skip their own lock wait and NICDelay), which is why the
-// mode is opt-in rather than fingerprint-neutral. If the area lock turns
-// out to be held when the batch starts (a user critical section), batching
-// would fold foreign operations into the holder's tenure, so the batch
-// falls back to per-op queueing.
-type slotBatch struct {
-	n       *NIC
-	area    memory.AreaID
-	at      sim.Time
-	ops     []*homeOp
-	l       *lockState
-	idx     int // next body to run during the batched tenure
-	startFn func()
-	grantFn func()
-	runFn   func()
-}
-
-// joinBatch adds o to the open batch for its area at the current instant,
-// opening one (and scheduling its start behind the instant's deliveries)
-// when none is open.
-//
-//dsmlint:eventhandler
-func (n *NIC) joinBatch(o *homeOp) {
-	now := n.k.Now()
-	// Expire batches from earlier instants lazily; a NIC rarely has more
-	// than a couple of areas hit in one slot, so a linear scan is fine.
-	live := n.batches[:0]
-	var b *slotBatch
-	for _, ob := range n.batches {
-		if ob.at == now {
-			live = append(live, ob)
-			if ob.area == o.r.area.ID {
-				b = ob
-			}
-		}
-	}
-	n.batches = live
-	if b == nil {
-		if k := len(n.batchPool); k > 0 {
-			b = n.batchPool[k-1]
-			n.batchPool = n.batchPool[:k-1]
-		} else {
-			b = &slotBatch{}
-			b.startFn = b.start
-			b.grantFn = b.grant
-			b.runFn = b.run
-		}
-		b.n, b.area, b.at, b.idx = n, o.r.area.ID, now, 0
-		n.batches = append(n.batches, b)
-		n.k.Defer(b.startFn)
-	}
-	b.ops = append(b.ops, o)
-}
-
-// start runs at the end of the batch's delivery slot, with every member
-// collected.
-//
-//dsmlint:eventhandler
-func (b *slotBatch) start() {
-	n := b.n
-	l := n.lockFor(b.area)
-	ops := b.ops
-	if l.held || len(ops) == 1 {
-		// Held lock (fall back: the batch must not ride a user critical
-		// section) or a batch of one (nothing to coalesce): serve each op
-		// on the ordinary path, preserving arrival order.
-		b.ops = b.ops[:0]
-		b.release()
-		for _, o := range ops {
-			o.l = l
-			l.acquire(o.r.acc.Proc, o.grantFn, o)
-		}
-		return
-	}
-	n.ps.batched += uint64(len(ops))
-	b.l = l
-	l.acquire(ops[0].r.acc.Proc, b.grantFn, nil)
-}
-
-// grant holds the lock for the whole batch: one NICDelay, the members'
-// words summed.
-//
-//dsmlint:eventhandler
-func (b *slotBatch) grant() {
-	words := 0
-	for _, o := range b.ops {
-		switch o.kind {
-		case network.KindPutReq:
-			words += len(o.r.data)
-		case network.KindAtomicReq:
-			words++
-		default:
-			words += o.r.count
-		}
-	}
-	b.n.k.Schedule(b.n.sys.occupancy(words), b.runFn)
-}
-
-// run executes the members' bodies in arrival order. Each body runs in its
-// own Defer slot (mirroring the per-op cadence of the serial path within
-// the instant) with o.l nil, so per-op release is a no-op; the batch drops
-// the lock once after the last body.
-//
-//dsmlint:eventhandler
-func (b *slotBatch) run() {
-	if b.idx >= len(b.ops) {
-		b.ops = b.ops[:0]
-		b.l.release()
-		b.l = nil
-		b.release()
-		return
-	}
-	o := b.ops[b.idx]
-	b.idx++
-	o.l = nil
-	o.run()
-	b.n.k.Defer(b.runFn)
-}
-
-// release recycles the batch struct (already emptied).
-func (b *slotBatch) release() {
-	n := b.n
-	for i, ob := range n.batches {
-		if ob == b {
-			n.batches = append(n.batches[:i], n.batches[i+1:]...)
-			break
-		}
-	}
-	b.n = nil
-	n.batchPool = append(n.batchPool, b)
 }
 
 // grant runs once the area lock is held. Under MESI the home first recalls a

@@ -13,9 +13,7 @@ import (
 // and every intermediate protocol hop — lock grants, literal-protocol clock
 // fetches, data replies — completes through pooled continuations in event
 // context. The tail of each operation (the code below each await) runs on
-// the process after the single wakeup, exactly where the parked path ran it.
-// The pre-CPS parked path is kept in ops_legacy.go behind
-// Config.LegacyInitiator for the differential determinism suite.
+// the process after the single wakeup.
 
 // Put writes data into area at word offset off (one-sided remote write,
 // Fig. 2 left... right arrow). acc carries the initiator's identity and
@@ -29,9 +27,6 @@ func (n *NIC) Put(p *sim.Proc, area memory.Area, off int, vals []memory.Word, ac
 	data := n.wbuf
 	if n.sys.cfg.Protocol == ProtocolLiteral && n.sys.DetectionOn() {
 		return n.putLiteral(p, area, off, data, acc)
-	}
-	if n.sys.cfg.LegacyInitiator {
-		return n.legacyPut(p, area, off, data, acc)
 	}
 	self := int(n.id)
 	if mes := n.sys.mes; mes != nil && mes.HoldsExclusive(self, area) {
@@ -127,9 +122,6 @@ func (n *NIC) get(p *sim.Proc, area memory.Area, off, count int, acc core.Access
 	if n.sys.cfg.Protocol == ProtocolLiteral && n.sys.DetectionOn() {
 		return n.getLiteral(p, area, off, count, acc, dst)
 	}
-	if n.sys.cfg.LegacyInitiator {
-		return n.legacyGet(p, area, off, count, acc, dst)
-	}
 	return n.getRemote(p, n.homeOf(area), network.KindGetReq, area, off, count, &acc, dst)
 }
 
@@ -181,9 +173,6 @@ func (n *NIC) CompareAndSwap(p *sim.Proc, area memory.Area, off int, expect, rep
 
 func (n *NIC) atomic(p *sim.Proc, area memory.Area, off int, op AtomicOp, a1, a2 memory.Word, acc core.Access) (memory.Word, vclock.Masked, error) {
 	acc.Area = area.ID
-	if n.sys.cfg.LegacyInitiator {
-		return n.legacyAtomic(p, area, off, op, a1, a2, acc)
-	}
 	self := int(n.id)
 	if mes := n.sys.mes; mes != nil && mes.HoldsExclusive(self, area) {
 		// MESI silent atomic: exclusivity guarantees no other valid copy
@@ -325,9 +314,6 @@ func (n *NIC) getInvalidate(p *sim.Proc, area memory.Area, off, count int, acc *
 		}
 		return data, absorb, nil
 	}
-	if n.sys.cfg.LegacyInitiator {
-		return n.legacyFetchMiss(p, area, off, count, *acc, dst)
-	}
 	// Miss: fetch the whole area (the coherence unit) from the home. The copy
 	// is installed by fetchCapture in the reply's delivery slot — not here,
 	// after the wakeup — so a same-instant invalidation ordered after the
@@ -342,9 +328,6 @@ func (n *NIC) getInvalidate(p *sim.Proc, area memory.Area, off, count int, acc *
 // release→acquire happens-before edge. The error is non-nil only under a
 // hostile fault schedule (ErrUnreachable after the retry budget).
 func (n *NIC) LockArea(p *sim.Proc, area memory.Area, proc int) (vclock.Masked, error) {
-	if n.sys.cfg.LegacyInitiator {
-		return n.legacyLockArea(p, area, proc), nil
-	}
 	o := n.sys.grabInit(n, p)
 	rr := o.newReq(area)
 	rr.acc.Proc, rr.user = proc, true
@@ -434,8 +417,7 @@ func (n *NIC) writeClockRaw(area memory.Area, v, w vclock.VC) {
 // issues the internal lock request (not observed, no clock transport — the
 // mechanism lock must not create user-visible happens-before, or no race
 // could ever be detected) and the grant continuation defers stage1;
-// otherwise stage1 runs directly from process context, exactly where the
-// parked path issued its first clock fetch.
+// otherwise stage1 runs directly from process context.
 func (o *initOp) startLiteral(stage1 func()) {
 	o.stage1Fn = stage1
 	if o.lockOn {
@@ -458,9 +440,6 @@ func (o *initOp) startLiteral(stage1 func()) {
 //	update_clock_W / update_clock (Algorithm 5: fetch, max, write back)
 //	unlock(P1,dst); unlock(P0,src)
 func (n *NIC) putLiteral(p *sim.Proc, area memory.Area, off int, data []memory.Word, acc core.Access) (vclock.Masked, error) {
-	if n.sys.cfg.LegacyInitiator {
-		return n.legacyPutLiteral(p, area, off, data, acc)
-	}
 	o := n.sys.grabInit(n, p)
 	o.area, o.off, o.data, o.acc = area, off, data, acc
 	o.lockOn = n.sys.cfg.LocksEnabled
@@ -483,9 +462,6 @@ func (n *NIC) putLiteral(p *sim.Proc, area memory.Area, off int, data []memory.W
 // initiator clock against the *write* clock, transfer the data, run
 // update_clock on the source area, unlock.
 func (n *NIC) getLiteral(p *sim.Proc, area memory.Area, off, count int, acc core.Access, dst []memory.Word) ([]memory.Word, vclock.Masked, error) {
-	if n.sys.cfg.LegacyInitiator {
-		return n.legacyGetLiteral(p, area, off, count, acc, dst)
-	}
 	o := n.sys.grabInit(n, p)
 	o.area, o.off, o.count, o.acc = area, off, count, acc
 	o.want, o.into = count, dst

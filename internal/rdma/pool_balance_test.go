@@ -39,7 +39,7 @@ func runBalance(t *testing.T, nodes int, cfg Config, alloc func(s *memory.Space)
 }
 
 // opsMix issues every operation shape, with both succeeding and failing
-// (out-of-range) variants, on both the CPS and legacy initiator paths.
+// (out-of-range) variants.
 func opsMix(r *rig, p *sim.Proc) {
 	n := r.sys.NIC(0)
 	clk := vclock.New(r.space.N())
@@ -89,13 +89,8 @@ func balanceConfigs() map[string]Config {
 		return cfg
 	}
 	return map[string]Config{
-		"piggyback": mk(func(c *Config) {}),
-		"legacy":    mk(func(c *Config) { c.LegacyInitiator = true }),
-		"literal":   mk(func(c *Config) { c.Protocol = ProtocolLiteral }),
-		"literal-legacy": mk(func(c *Config) {
-			c.Protocol = ProtocolLiteral
-			c.LegacyInitiator = true
-		}),
+		"piggyback":        mk(func(c *Config) {}),
+		"literal":          mk(func(c *Config) { c.Protocol = ProtocolLiteral }),
 		"write-invalidate": mk(func(c *Config) { c.Coherence = mustCoherence("write-invalidate") }),
 		// Sparse (compressed) clocks merged across a word fan-out.
 		"compress":      mk(func(c *Config) { c.Granularity = GranularityWord }),
@@ -105,7 +100,7 @@ func balanceConfigs() map[string]Config {
 
 // TestPoolBalanceCleanRuns asserts grab==release for every pool after runs
 // where all operations completed, successes and failures alike, across the
-// protocol/coherence matrix and both initiator paths.
+// protocol/coherence matrix.
 func TestPoolBalanceCleanRuns(t *testing.T) {
 	for name, cfg := range balanceConfigs() {
 		cfg := cfg
@@ -166,29 +161,18 @@ func TestPoolBalanceWriteInvalidateRounds(t *testing.T) {
 // TestPoolBalanceDownLink pins the failure-schedule accounting: a request
 // dropped on a cut link parks its initiator forever. The dropped request
 // buffer itself is reclaimed by the network drop hook (it used to leak),
-// so the only live structs are the stuck operation's continuation state —
-// and on the legacy path its pending record.
+// so the only live struct is the stuck operation's continuation state.
 func TestPoolBalanceDownLink(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		legacy := legacy
-		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
-			cfg := DefaultConfig(core.NewExactVWDetector(), nil)
-			cfg.LegacyInitiator = legacy
-			want := PoolBalance{InitOps: 1}
-			if legacy {
-				want = PoolBalance{Pendings: 1}
-			}
-			runBalance(t, 2, cfg, func(s *memory.Space) { s.Alloc("x", 1, 4) },
-				func(r *rig, p *sim.Proc) {
-					r.net.CutLink(0, 1)
-					clk := vclock.New(2)
-					clk.Tick(0)
-					r.sys.NIC(0).Put(p, mustAreaPanic(r.space, "x"), 0, []memory.Word{1},
-						core.Access{Proc: 0, Seq: 1, Kind: core.Write, Clock: clk})
-					panic("put on a cut link returned")
-				}, true, want)
-		})
-	}
+	cfg := DefaultConfig(core.NewExactVWDetector(), nil)
+	runBalance(t, 2, cfg, func(s *memory.Space) { s.Alloc("x", 1, 4) },
+		func(r *rig, p *sim.Proc) {
+			r.net.CutLink(0, 1)
+			clk := vclock.New(2)
+			clk.Tick(0)
+			r.sys.NIC(0).Put(p, mustAreaPanic(r.space, "x"), 0, []memory.Word{1},
+				core.Access{Proc: 0, Seq: 1, Kind: core.Write, Clock: clk})
+			panic("put on a cut link returned")
+		}, true, PoolBalance{InitOps: 1})
 }
 
 // TestPoolBalanceDroppedReply cuts the home→initiator direction instead:

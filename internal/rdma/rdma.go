@@ -102,23 +102,6 @@ type Config struct {
 	// Observer, when non-nil, receives apply-order notifications of memory
 	// and user-lock events (trace recording).
 	Observer Observer
-	// LegacyInitiator routes initiator-side operations through the pre-CPS
-	// parked path (one goroutine park/resume round trip per protocol hop)
-	// instead of the continuation-passing path. A test shim: it exists only
-	// so the differential determinism suite can prove the two paths
-	// bit-identical on the same schedules. Not for production use.
-	LegacyInitiator bool
-	// HomeSlotBatch coalesces data requests for the same area that land at
-	// the home in the same delivery slot (the same virtual instant) into
-	// one batched lock tenure: one acquisition, one NICDelay for the whole
-	// batch (per-word occupancy still accrues per operation), bodies run in
-	// arrival order, every reply carries its own clock. Detection verdicts
-	// are untouched — the per-area check/fold sequence is the arrival order
-	// either way — but batched operations complete earlier, so this is an
-	// opt-in timing-model change, not fingerprint-neutral. Piggyback +
-	// write-update + locks only (micro-batching groundwork; see
-	// ARCHITECTURE.md).
-	HomeSlotBatch bool
 }
 
 // Observer receives apply-order event notifications from the NICs.
@@ -151,15 +134,12 @@ func DefaultConfig(det core.Detector, col *core.Collector) Config {
 }
 
 // Validate reports the first incompatible option pair in c for a cluster of
-// the given node count, with or without a fault schedule. It is the single
-// home of the option-compatibility rules: dsm.New returns its error, and
-// NewSystem/EnableFaults panic with it for callers that skipped the check.
-func (c Config) Validate(nodes int, faults bool) error {
+// the given node count. It is the single home of the option-compatibility
+// rules: dsm.New returns its error, and NewSystem panics with it for
+// callers that skipped the check.
+func (c Config) Validate(nodes int) error {
 	literal := c.Protocol == ProtocolLiteral
-	caches, kind := false, coherence.WriteUpdate
-	if c.Coherence != nil {
-		caches, kind = c.Coherence.CachesRemoteReads(), c.Coherence.Kind()
-	}
+	caches := c.Coherence != nil && c.Coherence.CachesRemoteReads()
 	switch {
 	case nodes > vclock.MaxWireComponents:
 		return fmt.Errorf("rdma: %d nodes exceed the clock wire format's %d components", nodes, vclock.MaxWireComponents)
@@ -167,25 +147,12 @@ func (c Config) Validate(nodes int, faults bool) error {
 		return errors.New("rdma: word granularity requires the piggyback protocol")
 	case literal && caches:
 		return errors.New("rdma: the literal protocol supports write-update coherence only")
-	case c.LegacyInitiator && (kind == coherence.Causal || kind == coherence.MESI):
-		// The legacy parked path predates versioned installs, silent writes
-		// and recall routing; it exists only to differentially test the CPS
-		// path on the original protocols.
-		return errors.New("rdma: LegacyInitiator supports write-update and write-invalidate coherence only")
-	case c.HomeSlotBatch && (literal || caches || !c.LocksEnabled):
-		return errors.New("rdma: HomeSlotBatch requires the piggyback protocol, write-update coherence and locks enabled")
-	case faults && c.LegacyInitiator:
-		return errors.New("rdma: fault injection is not supported with LegacyInitiator")
-	case faults && c.HomeSlotBatch:
-		return errors.New("rdma: fault injection is not supported with HomeSlotBatch")
 	}
 	if literal && c.Detector != nil {
 		// Algorithms 1–2 fetch and write back the stored clocks; a detector
 		// without clock access cannot serve get_clock/put_clock. Reject the
-		// combination up front — the two initiator paths would otherwise
-		// fail in different ways mid-run (the parked path ignored clock-read
-		// errors and tripped over nil clocks later; the CPS path would fail
-		// the operation at the first hop).
+		// combination up front rather than fail every operation mid-run at
+		// its first clock fetch.
 		if _, ok := c.Detector.NewAreaState(nodes).(core.ClockAccessor); !ok {
 			return errors.New("rdma: the literal protocol requires a clock-based detector")
 		}
@@ -266,7 +233,6 @@ type shardPools struct {
 	wordScratch vclock.Masked
 	reqPool     []*req
 	respPool    []*resp
-	pendPool    []*pending
 	opPool      []*homeOp
 	initPool    []*initOp
 	bmsgPool    []*BarrierMsg
@@ -275,9 +241,6 @@ type shardPools struct {
 	// ret collects foreign-owned structs released on this shard, per owner
 	// shard; the barrier settle moves them home. Nil on a single kernel.
 	ret []retBin
-	// batched counts data operations served through multi-op home slot
-	// batches (Config.HomeSlotBatch).
-	batched uint64
 	// bclockGrabs counts merged barrier clocks handed out, one per epoch of
 	// a run whose clocks are on (System.ClocksOn).
 	bclockGrabs uint64
@@ -287,7 +250,6 @@ type shardPools struct {
 type retBin struct {
 	reqs  []*req
 	resps []*resp
-	pends []*pending
 	ops   []*homeOp
 	inits []*initOp
 	bmsgs []*BarrierMsg
@@ -300,14 +262,13 @@ type retBin struct {
 // of its buffers, so a finished run balances to zero everywhere; the only
 // legitimate nonzero entries belong to operations a failure schedule left
 // permanently stuck (e.g. a request dropped on a cut link parks its
-// initiator forever, keeping its initOp — and, on the legacy path, its
-// pending — alive). A nonzero balance after a clean run is a leak — and in
+// initiator forever, keeping its initOp alive). A nonzero balance after a clean run is a leak — and in
 // a sharded run the balance is kept *per shard* (a struct counts against
 // the shard that grabbed it until it is released and settles home), so a
 // cross-shard envelope leak shows up in exactly the shard that owns the
 // leaked struct.
 type PoolBalance struct {
-	Reqs, Resps, Pendings, HomeOps, InitOps int
+	Reqs, Resps, HomeOps, InitOps int
 	// BarrierMsgs counts barrier arrival and release records; BarrierClocks
 	// counts merged barrier clocks some participant has yet to absorb.
 	BarrierMsgs, BarrierClocks int
@@ -316,7 +277,6 @@ type PoolBalance struct {
 func (b *PoolBalance) add(o PoolBalance) {
 	b.Reqs += o.Reqs
 	b.Resps += o.Resps
-	b.Pendings += o.Pendings
 	b.HomeOps += o.HomeOps
 	b.InitOps += o.InitOps
 	b.BarrierMsgs += o.BarrierMsgs
@@ -339,16 +299,6 @@ func (s *System) PoolShards() int { return len(s.pools) }
 // (and its final barrier settle) every shard balances to zero.
 func (s *System) PoolBalanceShard(i int) PoolBalance { return s.pools[i].balance }
 
-// BatchedOps returns the number of data operations served through multi-op
-// home slot batches (zero unless Config.HomeSlotBatch).
-func (s *System) BatchedOps() uint64 {
-	var total uint64
-	for _, ps := range s.pools {
-		total += ps.batched
-	}
-	return total
-}
-
 // BarrierClocksGrabbed returns the number of merged barrier clocks handed
 // out so far: one per barrier epoch when clocks are on, none otherwise.
 func (s *System) BarrierClocksGrabbed() uint64 {
@@ -368,7 +318,6 @@ func (s *System) settlePools() {
 			bin, op := &ps.ret[owner], s.pools[owner]
 			settle(&bin.reqs, &op.reqPool, &op.balance.Reqs)
 			settle(&bin.resps, &op.respPool, &op.balance.Resps)
-			settle(&bin.pends, &op.pendPool, &op.balance.Pendings)
 			settle(&bin.ops, &op.opPool, &op.balance.HomeOps)
 			settle(&bin.inits, &op.initPool, &op.balance.InitOps)
 			settle(&bin.bmsgs, &op.bmsgPool, &op.balance.BarrierMsgs)
@@ -555,36 +504,13 @@ func (ps *shardPools) releaseResp(r *resp) {
 	ps.ret[owner].resps = append(ps.ret[owner].resps, r)
 }
 
-func (ps *shardPools) grabPending(p *sim.Proc) *pending {
-	ps.balance.Pendings++
-	if n := len(ps.pendPool); n > 0 {
-		pd := ps.pendPool[n-1]
-		ps.pendPool = ps.pendPool[:n-1]
-		pd.proc = p
-		pd.owner = int32(ps.idx)
-		return pd
-	}
-	return &pending{proc: p, owner: int32(ps.idx)}
-}
-
-func (ps *shardPools) releasePending(pd *pending) {
-	owner := pd.owner
-	*pd = pending{}
-	if int(owner) == ps.idx {
-		ps.balance.Pendings--
-		ps.pendPool = append(ps.pendPool, pd)
-		return
-	}
-	ps.ret[owner].pends = append(ps.ret[owner].pends, pd)
-}
-
 // NewSystem wires one NIC per node onto the network. The space should be
 // fully allocated (it is sealed here).
 func NewSystem(net *network.Network, space *memory.Space, cfg Config) *System {
 	if cfg.Detector != nil && cfg.Collector == nil {
 		cfg.Collector = &core.Collector{}
 	}
-	if err := cfg.Validate(space.N(), false); err != nil {
+	if err := cfg.Validate(space.N()); err != nil {
 		panic(err)
 	}
 	if cfg.Coherence == nil {

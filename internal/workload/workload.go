@@ -715,44 +715,6 @@ func ProducerConsumerChain(stages, rounds, words, rereads int) Workload {
 	}
 }
 
-// LockstepAdders has every worker sleep the same interval and then hit the
-// same shared cell homed on the (otherwise idle) node 0 — so each round's
-// requests land at the home in one delivery slot. Racy by design
-// (unsynchronised writers racing on one word) with a schedule-independent
-// verdict sequence; built as the colliding shape for the home slot-batching
-// ablation (rdma.Config.HomeSlotBatch), where same-slot same-area requests
-// share one lock tenure.
-func LockstepAdders(procs, rounds int) Workload {
-	expected := memory.Word((procs - 1) * rounds)
-	return Workload{
-		Name:    "lockstep-adders",
-		Procs:   procs,
-		Profile: RacyBenign,
-		Setup:   func(c *dsm.Cluster) error { return c.Alloc("cell", 0, 1) },
-		Programs: func() []dsm.Program {
-			ps := make([]dsm.Program, procs)
-			for i := 1; i < procs; i++ {
-				ps[i] = func(p *dsm.Proc) error {
-					for r := 0; r < rounds; r++ {
-						p.Sleep(100_000)
-						if _, err := p.FetchAdd("cell", 0, 1); err != nil {
-							return err
-						}
-					}
-					return nil
-				}
-			}
-			return ps
-		},
-		Check: func(res *dsm.Result) error {
-			if got := res.Memory[0][0]; got != expected {
-				return fmt.Errorf("cell = %d, want %d", got, expected)
-			}
-			return nil
-		},
-	}
-}
-
 // Pipeline passes a token around the ring using data cells and polled
 // flags. Flag polling is synchronisation-via-race (like a relaxed atomic
 // spin): the detector must flag the flag cells. The data cells, however,
