@@ -162,17 +162,21 @@ func TestPoolBalanceWriteInvalidateRounds(t *testing.T) {
 // dropped on a cut link parks its initiator forever. The dropped request
 // buffer itself is reclaimed by the network drop hook (it used to leak),
 // so the only live struct is the stuck operation's continuation state.
+// The subtest keeps the name it had while a second, legacy initiator was
+// checked alongside it.
 func TestPoolBalanceDownLink(t *testing.T) {
-	cfg := DefaultConfig(core.NewExactVWDetector(), nil)
-	runBalance(t, 2, cfg, func(s *memory.Space) { s.Alloc("x", 1, 4) },
-		func(r *rig, p *sim.Proc) {
-			r.net.CutLink(0, 1)
-			clk := vclock.New(2)
-			clk.Tick(0)
-			r.sys.NIC(0).Put(p, mustAreaPanic(r.space, "x"), 0, []memory.Word{1},
-				core.Access{Proc: 0, Seq: 1, Kind: core.Write, Clock: clk})
-			panic("put on a cut link returned")
-		}, true, PoolBalance{InitOps: 1})
+	t.Run("legacy=false", func(t *testing.T) {
+		cfg := DefaultConfig(core.NewExactVWDetector(), nil)
+		runBalance(t, 2, cfg, func(s *memory.Space) { s.Alloc("x", 1, 4) },
+			func(r *rig, p *sim.Proc) {
+				r.net.CutLink(0, 1)
+				clk := vclock.New(2)
+				clk.Tick(0)
+				r.sys.NIC(0).Put(p, mustAreaPanic(r.space, "x"), 0, []memory.Word{1},
+					core.Access{Proc: 0, Seq: 1, Kind: core.Write, Clock: clk})
+				panic("put on a cut link returned")
+			}, true, PoolBalance{InitOps: 1})
+	})
 }
 
 // TestPoolBalanceDroppedReply cuts the home→initiator direction instead:
